@@ -127,59 +127,20 @@ module Procs = Fbremote.Procs
 module Wire = Fbremote.Wire
 module Fsck = Fbcheck.Fsck
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let with_scratch tag f =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fb-bench-shard-%s-%d" tag (Unix.getpid ()))
-  in
-  rm_rf dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let shard_dirs scratch n =
   List.init n (fun i -> Filename.concat scratch (Printf.sprintf "shard-%d" i))
 
-(* Forked client workers: each child drives its own dispatcher, so the
-   offered load is real multi-process concurrency, not one client's
-   round-trip latency. *)
-let fork_workers w body =
-  let pids =
-    List.init w (fun i ->
-        match Unix.fork () with
-        | 0 ->
-            let status =
-              match body i with () -> 0 | exception _ -> 1
-            in
-            Unix._exit status
-        | pid -> pid)
-  in
-  fun () ->
-    List.iter
-      (fun pid ->
-        match Unix.waitpid [] pid with
-        | _, Unix.WEXITED 0 -> ()
-        | _ -> failwith "bench worker failed")
-      pids
-
 let put_throughput ~group_commit ~shards ~workers ~ops_per_worker ~value_bytes
     =
-  with_scratch (Printf.sprintf "tput%d" shards) @@ fun scratch ->
+  Procs.with_temp_dir @@ fun scratch ->
   let dirs = shard_dirs scratch shards in
   let procs, map = Shard.spawn_cluster ~group_commit ~dirs () in
   Fun.protect ~finally:(fun () -> List.iter Procs.kill procs) @@ fun () ->
   let value = String.make value_bytes 'x' in
   let t0 = Bench_util.now () in
   let join =
-    fork_workers workers (fun w ->
+    (* each worker drives its own dispatcher: real multi-process load *)
+    Bench_util.fork_workers workers (fun w ->
         let d = Dispatch.of_map map in
         for i = 1 to ops_per_worker do
           ignore
@@ -199,7 +160,7 @@ let put_throughput ~group_commit ~shards ~workers ~ops_per_worker ~value_bytes
    fifth, and finally replays the log against the cluster — every line
    was acked, so every line must read back. *)
 let chaos_pass ~ops =
-  with_scratch "chaos" @@ fun scratch ->
+  Procs.with_temp_dir @@ fun scratch ->
   let shards = 4 in
   let dirs = shard_dirs scratch shards in
   let procs, map = Shard.spawn_cluster ~dirs () in
@@ -212,7 +173,7 @@ let chaos_pass ~ops =
   @@ fun () ->
   let ack_log = Filename.concat scratch "acked.log" in
   let join =
-    fork_workers 1 (fun _ ->
+    Bench_util.fork_workers 1 (fun _ ->
         let d = Dispatch.of_map map in
         let oc = open_out ack_log in
         for i = 1 to ops do
@@ -307,7 +268,7 @@ let chaos_pass ~ops =
    substitution, DESIGN.md §1.3) projects the scaling curve this
    topology reaches when each shard process actually gets a core. *)
 let measured_put_service ~ops ~value_bytes =
-  with_scratch "svc" @@ fun scratch ->
+  Procs.with_temp_dir @@ fun scratch ->
   let dirs = shard_dirs scratch 1 in
   let procs, map = Shard.spawn_cluster ~dirs () in
   Fun.protect ~finally:(fun () -> List.iter Procs.kill procs) @@ fun () ->

@@ -8,18 +8,7 @@ module Cid = Fbchunk.Cid
 module Db = Forkbase.Db
 module Persist = Fbpersist.Persist
 module U = Bench_util
-
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbbench-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
+module Procs = Fbremote.Procs
 
 let fill db n =
   for i = 1 to n do
@@ -46,7 +35,7 @@ let durability scale =
     ~value:(float_of_int n /. elapsed) ~unit:"ops/s";
   List.iter
     (fun (label, metric_name, journal_sync_every) ->
-      with_temp_dir @@ fun dir ->
+      Procs.with_temp_dir @@ fun dir ->
       let p = Persist.open_db ~journal_sync_every dir in
       let elapsed, () = U.time_it (fun () -> fill (Persist.db p) n) in
       U.row [ label; Printf.sprintf "%.0f" (float_of_int n /. elapsed) ];
@@ -59,7 +48,7 @@ let durability scale =
     ];
 
   U.section "Recovery time (reopen + journal replay)";
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db ~journal_sync_every:64 dir in
   fill (Persist.db p) n;
   Persist.close p;

@@ -7,40 +7,24 @@ module Server = Fbremote.Server
 module Client = Fbremote.Client
 module Wire = Fbremote.Wire
 module Persist = Fbpersist.Persist
+module Procs = Fbremote.Procs
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbbench-remote-%d-%d" (Unix.getpid ())
-         (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
+(* Server children over a wide backlog, so 16 clients connecting at once
+   never wait on a dropped SYN. *)
+let spawn serve =
+  let listen_fd = Server.listen ~backlog:64 ~port:0 () in
+  Procs.spawn_on (listen_fd, Server.bound_port listen_fd) serve
 
 let spawn_server () =
-  let listen_fd = Server.listen ~backlog:64 ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
+  spawn (fun listen_fd ->
       let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
-      (try ignore (Server.serve db listen_fd : Server.counters) with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
+      ignore (Server.serve db listen_fd : Server.counters))
 
 (* A server over a durable store with per-op journal fsyncs, optionally
    batching them via the event loop's group commit.  Either way every
    acknowledged put is power-loss durable before its ack leaves. *)
 let spawn_durable_server ~dir ~group_commit () =
-  let listen_fd = Server.listen ~backlog:64 ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
+  spawn (fun listen_fd ->
       let p = Persist.open_db ~journal_sync_every:1 dir in
       let gc =
         if group_commit then begin
@@ -49,90 +33,58 @@ let spawn_durable_server ~dir ~group_commit () =
         end
         else None
       in
-      (try
-         ignore (Server.serve ?group_commit:gc (Persist.db p) listen_fd
-                 : Server.counters)
-       with _ -> ());
-      (try Persist.close p with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
+      Fun.protect ~finally:(fun () -> Persist.close p) @@ fun () ->
+      ignore (Server.serve ?group_commit:gc (Persist.db p) listen_fd
+              : Server.counters))
 
-(* One client process: [ops] round trips, alternating put and get. *)
-let client_loop ~port ~id ~ops ~value_size =
-  let c = Client.connect ~retries:20 ~port () in
-  let key = Printf.sprintf "bench-%d" id in
-  let payload = String.make value_size 'x' in
-  for i = 1 to ops / 2 do
-    let (_ : Fbchunk.Cid.t) =
-      Client.put c ~key (Wire.Str (payload ^ string_of_int i))
-    in
-    ignore (Client.get c ~key)
-  done;
-  Client.close c
-
-let run_experiment ~clients ~total_ops ~value_size =
-  let port, server_pid = spawn_server () in
-  let ops = total_ops / clients in
+(* [clients] client processes, each running [ops] round trips of [op] on
+   its own key; the throughput credits only work every child finished. *)
+let drive ~server ~clients ~ops op =
+  let port = Procs.port server in
   let elapsed, () =
     Bench_util.time_it (fun () ->
-        let pids =
-          List.init clients (fun id ->
-              match Unix.fork () with
-              | 0 ->
-                  (try client_loop ~port ~id ~ops ~value_size with _ -> ());
-                  Unix._exit 0
-              | pid -> pid)
-        in
-        List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids)
+        Bench_util.fork_workers clients (fun id ->
+            let c = Client.connect ~retries:20 ~port () in
+            let key = Printf.sprintf "bench-%d" id in
+            for i = 1 to ops do
+              op c ~key i
+            done;
+            Client.close c)
+          ())
   in
   (* orderly teardown so the next round starts from a fresh server *)
   let c = Client.connect ~retries:20 ~port () in
   let stats = Client.stats c in
   Client.quit_server c;
   Client.close c;
-  ignore (Unix.waitpid [] server_pid);
-  let done_ops = clients * (ops / 2) * 2 in
-  (float_of_int done_ops /. elapsed, stats)
+  Procs.reap server;
+  (float_of_int (clients * ops) /. elapsed, stats)
+
+(* Alternating put and get round trips on an in-memory server. *)
+let run_experiment ~clients ~total_ops ~value_size =
+  let payload = String.make value_size 'x' in
+  drive ~server:(spawn_server ()) ~clients ~ops:(total_ops / clients)
+    (fun c ~key i ->
+      if i land 1 = 1 then
+        ignore
+          (Client.put c ~key (Wire.Str (payload ^ string_of_int i))
+            : Fbchunk.Cid.t)
+      else ignore (Client.get c ~key : Wire.value))
 
 (* Durable-write throughput: [clients] concurrent writers, every put
    journaled and fsynced before its ack.  Compares per-op fsync against
    group commit (one fsync per event-loop round, shared by the round's
    writers). *)
 let run_durable ~clients ~total_ops ~value_size ~group_commit =
-  with_temp_dir @@ fun dir ->
-  let port, server_pid = spawn_durable_server ~dir ~group_commit () in
-  let ops = total_ops / clients in
-  let elapsed, () =
-    Bench_util.time_it (fun () ->
-        let pids =
-          List.init clients (fun id ->
-              match Unix.fork () with
-              | 0 ->
-                  (try
-                     let c = Client.connect ~retries:20 ~port () in
-                     let key = Printf.sprintf "bench-%d" id in
-                     let payload = String.make value_size 'x' in
-                     for i = 1 to ops do
-                       let (_ : Fbchunk.Cid.t) =
-                         Client.put c ~key (Wire.Str (payload ^ string_of_int i))
-                       in
-                       ()
-                     done;
-                     Client.close c
-                   with _ -> ());
-                  Unix._exit 0
-              | pid -> pid)
-        in
-        List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids)
-  in
-  let c = Client.connect ~retries:20 ~port () in
-  let stats = Client.stats c in
-  Client.quit_server c;
-  Client.close c;
-  ignore (Unix.waitpid [] server_pid);
-  (float_of_int (clients * ops) /. elapsed, stats)
+  Procs.with_temp_dir @@ fun dir ->
+  let payload = String.make value_size 'x' in
+  drive
+    ~server:(spawn_durable_server ~dir ~group_commit ())
+    ~clients ~ops:(total_ops / clients)
+    (fun c ~key i ->
+      ignore
+        (Client.put c ~key (Wire.Str (payload ^ string_of_int i))
+          : Fbchunk.Cid.t))
 
 let remote scale =
   Bench_util.section

@@ -17,19 +17,7 @@ module Server = Fbremote.Server
 module Client = Fbremote.Client
 module Wire = Fbremote.Wire
 module Replica = Fbreplica.Replica
-
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbrep-bench-%d-%d" (Unix.getpid ())
-         (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+module Procs = Fbremote.Procs
 
 let spawn_primary dir =
   let listen_fd = Server.listen ~backlog:64 ~port:0 () in
@@ -89,8 +77,8 @@ let catch_up scale =
   let ops = Bench_util.pick scale 2_000 20_000 in
   Bench_util.row_header
     [ "ops"; "entries/s"; "chunks_fetched"; "pulls"; "elapsed(s)" ];
-  with_temp_dir @@ fun pdir ->
-  with_temp_dir @@ fun fdir ->
+  Procs.with_temp_dir @@ fun pdir ->
+  Procs.with_temp_dir @@ fun fdir ->
   let port, ppid = spawn_primary pdir in
   Fun.protect ~finally:(fun () -> reap ppid) @@ fun () ->
   let c = Client.connect ~retries:20 ~port () in
@@ -131,16 +119,10 @@ let run_readers ~ports ~readers ~total_ops =
   let ops = total_ops / readers in
   let elapsed, () =
     Bench_util.time_it (fun () ->
-        let pids =
-          List.init readers (fun i ->
-              let port = List.nth ports (i mod List.length ports) in
-              match Unix.fork () with
-              | 0 ->
-                  (try reader_loop ~port ~ops with _ -> ());
-                  Unix._exit 0
-              | pid -> pid)
-        in
-        List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids)
+        Bench_util.fork_workers readers
+          (fun i ->
+            reader_loop ~port:(List.nth ports (i mod List.length ports)) ~ops)
+          ())
   in
   float_of_int (readers * ops) /. elapsed
 
@@ -151,8 +133,8 @@ let read_scaling scale =
   let readers = 4 in
   Bench_util.row_header
     [ "servers"; "readers"; "reads"; "throughput(Kops/s)" ];
-  with_temp_dir @@ fun pdir ->
-  with_temp_dir @@ fun fdir ->
+  Procs.with_temp_dir @@ fun pdir ->
+  Procs.with_temp_dir @@ fun fdir ->
   let pport, ppid = spawn_primary pdir in
   Fun.protect ~finally:(fun () -> reap ppid) @@ fun () ->
   let c = Client.connect ~retries:20 ~port:pport () in

@@ -16,6 +16,36 @@ let time_it fn =
   let r = fn () in
   (now () -. t0, r)
 
+(* Forked client workers: [fork_workers n body] runs [body i] in child
+   [i] and returns a join.  A child whose [body] raises reports it and
+   exits 1; the join reaps every child and fails loudly unless all exited
+   0, so a crashed client is never credited with work it did not do. *)
+let fork_workers n body =
+  let pids =
+    List.init n (fun i ->
+        match Unix.fork () with
+        | 0 ->
+            Unix._exit
+              (match body i with
+              | () -> 0
+              | exception e ->
+                  prerr_endline ("bench worker: " ^ Printexc.to_string e);
+                  1)
+        | pid -> pid)
+  in
+  fun () ->
+    let failed =
+      List.filter
+        (fun pid ->
+          match Unix.waitpid [] pid with
+          | _, Unix.WEXITED 0 -> false
+          | _ -> true)
+        pids
+    in
+    if failed <> [] then
+      failwith
+        (Printf.sprintf "%d of %d bench workers failed" (List.length failed) n)
+
 (* Average seconds per call over [runs] invocations (after [warmup]). *)
 let time_avg ?(warmup = 2) ~runs fn =
   for _ = 1 to warmup do

@@ -9,16 +9,6 @@ let normalize heads =
            List.sort (fun (b1, _) (b2, _) -> String.compare b1 b2) branches ))
        heads)
 
-let of_db db =
-  normalize
-    (List.map
-       (fun key ->
-         ( key,
-           List.map
-             (fun (branch, uid) -> (branch, Fbchunk.Cid.to_hex uid))
-             (Forkbase.Db.list_tagged_branches db ~key) ))
-       (Forkbase.Db.list_keys db))
-
 let diff ~left_name ~right_name ~left ~right =
   let acc = ref [] in
   let note fmt = Printf.ksprintf (fun s -> acc := s :: !acc) fmt in

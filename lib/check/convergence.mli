@@ -3,10 +3,10 @@
     After a quiesce (writes stopped, followers synced until caught up),
     a primary and each of its followers must agree on the full head map —
     every key, every tagged branch, the same version uid at each.  The
-    head map travels as plain data ([key -> (branch, uid-hex) list]) so
-    one side can come from a remote server's wire listings and the other
-    from a local connector, which is how the soak harness (lib/soak) and
-    the replication tests use it. *)
+    head map travels as plain data ([key -> (branch, uid-hex) list]),
+    built from any access handle's listings — a server over the wire or
+    a follower's embedded store — which is how the soak harness
+    (lib/soak) uses it. *)
 
 type heads = (string * (string * string) list) list
 (** [key -> (branch, uid-hex) list], both levels sorted — the shape
@@ -14,9 +14,6 @@ type heads = (string * (string * string) list) list
 
 val normalize : (string * (string * string) list) list -> heads
 (** Sort keys and each key's branch list (by branch name). *)
-
-val of_db : Forkbase.Db.t -> heads
-(** The head map of a local connector, normalized. *)
 
 val diff : left_name:string -> right_name:string -> left:heads -> right:heads -> string list
 (** Human-readable divergence lines — keys missing on either side,

@@ -1,4 +1,6 @@
-type t = { fd : Unix.file_descr }
+(* The transport: a socket to a server, or an in-process request
+   function (an embedded store, a routing dispatcher). *)
+type t = Socket of Unix.file_descr | Direct of (Wire.request -> Wire.response)
 
 exception Redirected of string * int
 exception Busy of string
@@ -36,7 +38,7 @@ let connect ?(host = "127.0.0.1") ?(retries = 0) ?(backoff = 0.02)
   let rec attempt left delay =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_INET (addr, port)) with
-    | () -> { fd }
+    | () -> Socket fd
     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when left > 0 ->
         Unix.close fd;
         Unix.sleepf delay;
@@ -47,15 +49,21 @@ let connect ?(host = "127.0.0.1") ?(retries = 0) ?(backoff = 0.02)
   in
   attempt retries backoff
 
-let close t = Unix.close t.fd
+let of_call call = Direct call
+let local db = Direct (Server.handle db)
+
+let close = function Socket fd -> Unix.close fd | Direct _ -> ()
 
 let call t req =
-  match
-    Wire.write_frame t.fd (Wire.encode_request req);
-    Wire.read_frame t.fd
-  with
-  | Some frame -> Wire.decode_response frame
-  | None | (exception Wire.Connection_closed) -> raise Disconnected
+  match t with
+  | Direct call -> call req
+  | Socket fd -> (
+      match
+        Wire.write_frame fd (Wire.encode_request req);
+        Wire.read_frame fd
+      with
+      | Some frame -> Wire.decode_response frame
+      | None | (exception Wire.Connection_closed) -> raise Disconnected)
 
 let expect_ok name = function
   | Wire.Error msg -> raise (Remote_failure (name ^ ": " ^ msg))

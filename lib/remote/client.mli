@@ -1,4 +1,9 @@
-(** A blocking ForkBase network client over the {!Wire} protocol. *)
+(** The one access handle to a ForkBase store: every verb is a
+    {!Wire.request} answered by a {!Wire.response}, whatever carries it.
+    A handle's transport is either a socket to a {!Server} ({!connect})
+    or an in-process request function — an embedded store ({!local}) or
+    a routing dispatcher ([Fbshard.Dispatch.client]).  The typed verbs
+    below decode the response identically over every transport. *)
 
 type t
 
@@ -40,7 +45,18 @@ val connect :
     sleeping [backoff] seconds (default 0.02) doubled after every attempt
     and capped at [max_backoff] (default 1.0). *)
 
+val local : Forkbase.Db.t -> t
+(** An embedded store behind the same verbs: each request runs
+    {!Server.handle} on [db] in process, with no socket. *)
+
+val of_call : (Wire.request -> Wire.response) -> t
+(** A handle over any in-process request function (the dispatcher's
+    routed call is one). *)
+
 val close : t -> unit
+(** Close a socket handle; a no-op for in-process handles, whose store
+    or dispatcher belongs to whoever built them. *)
+
 val call : t -> Wire.request -> Wire.response
 (** One request/response round trip.
     @raise Disconnected if the server closed the connection. *)

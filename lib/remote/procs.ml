@@ -48,3 +48,15 @@ let alive t =
   match Unix.kill t.pid 0 with
   | () -> true
   | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "forkbase-" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)

@@ -1,4 +1,5 @@
-(** Child-process server lifecycles for tests and the soak harness.
+(** Child-process server lifecycles and scratch directories for the
+    tests, the benches and the soak harness.
 
     One clean idiom, shared instead of re-derived per test file: bind the
     listening socket {e in the parent} (port [0] = kernel-assigned
@@ -44,3 +45,13 @@ val reap : t -> unit
 
 val alive : t -> bool
 (** The child has not yet been reaped and still exists. *)
+
+(** {1 Scratch directories} *)
+
+val rm_rf : string -> unit
+(** Remove [path] recursively (directories, files, symlinks);
+    a path that does not exist is not an error. *)
+
+val with_temp_dir : (string -> 'a) -> 'a
+(** [with_temp_dir f] runs [f] on a fresh, empty temporary directory and
+    removes it with {!rm_rf} afterwards, whether [f] returns or raises. *)

@@ -153,7 +153,9 @@ val handle :
   Forkbase.Db.t ->
   Wire.request ->
   Wire.response
-(** The request dispatcher, exposed for tests. *)
+(** The request dispatcher: one request against [db], exactly as
+    {!serve} answers it.  {!Client.local} is this, as an access
+    handle. *)
 
 val stats_of_db : Forkbase.Db.t -> Wire.stats
 (** Db-level stats with all connection counters zero; {!serve} fills them
@@ -161,6 +163,8 @@ val stats_of_db : Forkbase.Db.t -> Wire.stats
 
 val to_wire_value : Fbtypes.Value.t -> Wire.value
 (** The materialization a [Get] response performs (blobs and containers
-    read back through the store into plain data).  Exposed so embedded
-    readers — a follower's local connector in the soak harness — can be
-    compared against wire reads in one value domain. *)
+    read back through the store into plain data).  Code that needs the
+    whole API over an embedded store uses {!Client.local}, which runs
+    {!handle} and so materializes through this; it is exposed for
+    callers that read a [Db] directly but compare results in the wire
+    value domain (the benchmark's replay and lost-write checks). *)

@@ -145,59 +145,39 @@ let close t =
     t.conns;
   Hashtbl.reset t.conns
 
-(* The routing loop every key-addressed operation runs in.  A [Redirected]
-   answer means our map is stale (refresh and retry), [Busy] means the key
-   is fenced mid-rebalance (back off, refresh, retry), and a vanished
+(* The routing loop every key-addressed request runs in.  A [Redirect]
+   answer means our map is stale (refresh and retry), [Retry] means the
+   key is fenced mid-rebalance (back off, refresh, retry), and a vanished
    shard (connection refused / dropped) is retried through [conn]'s
    reconnect — which is what rides out a SIGKILL + supervisor restart.
    The retry budget bounds all of it; exhausting it raises [Unroutable]
    rather than hanging forever. *)
-let with_route t ~key f =
+let with_route t ~key req =
   let rec attempt left delay =
     if left <= 0 then
       raise
         (Unroutable (Printf.sprintf "key %S: retry budget exhausted" key))
     else
       let owner = Shard_map.owner t.map key in
-      match f (conn t owner) with
-      | v -> v
-      | exception Client.Redirected _ ->
+      let grown = Float.min 0.2 (2. *. delay) in
+      match Client.call (conn t owner) req with
+      | Wire.Redirect _ ->
           refresh_map t;
           attempt (left - 1) delay
-      | exception Client.Busy _ ->
+      | Wire.Retry _ ->
           Unix.sleepf delay;
           refresh_map t;
-          attempt (left - 1) (Float.min 0.2 (2. *. delay))
-      | exception (Client.Disconnected | Wire.Connection_closed) ->
+          attempt (left - 1) grown
+      | resp -> resp
+      | exception
+          (Client.Disconnected | Wire.Connection_closed | Unix.Unix_error _) ->
           drop_conn t owner;
           Unix.sleepf delay;
-          attempt (left - 1) (Float.min 0.2 (2. *. delay))
-      | exception Unix.Unix_error _ ->
-          drop_conn t owner;
-          Unix.sleepf delay;
-          attempt (left - 1) (Float.min 0.2 (2. *. delay))
+          attempt (left - 1) grown
   in
   attempt t.route_retries t.backoff
 
-let put ?branch ?context t ~key value =
-  with_route t ~key (fun c -> Client.put ?branch ?context c ~key value)
-
-let get ?branch t ~key =
-  with_route t ~key (fun c -> Client.get ?branch c ~key)
-
-let fork t ~key ~from_branch ~new_branch =
-  with_route t ~key (fun c -> Client.fork c ~key ~from_branch ~new_branch)
-
-let merge ?resolver t ~key ~target ~ref_branch =
-  with_route t ~key (fun c -> Client.merge ?resolver c ~key ~target ~ref_branch)
-
-let track ?branch t ~key ~lo ~hi =
-  with_route t ~key (fun c -> Client.track ?branch c ~key ~lo ~hi)
-
-let list_branches t ~key =
-  with_route t ~key (fun c -> Client.list_branches c ~key)
-
-(* Whole-cluster views: ask every shard.  [List_keys] is not
+(* Whole-cluster key listing: ask every shard.  [List_keys] is not
    ownership-gated, so each shard reports what it stores. *)
 let list_keys t =
   let acc = ref [] in
@@ -205,6 +185,34 @@ let list_keys t =
     acc := Client.list_keys (conn t i) @ !acc
   done;
   List.sort_uniq String.compare !acc
+
+let route t (req : Wire.request) =
+  match req with
+  | Put { key; _ }
+  | Get { key; _ }
+  | Fork { key; _ }
+  | Merge { key; _ }
+  | Track { key; _ }
+  | List_branches { key } ->
+      with_route t ~key req
+  | List_keys -> Wire.Keys (list_keys t)
+  | Get_version _ | Verify _ | Stats | Checkpoint | Pull_journal _
+  | Fetch_chunks _ | Get_map | Set_map _ | Push_chunks _ | Restore_branch _
+  | Export_key _ | Quit ->
+      Wire.Error "not routable through the dispatcher"
+
+let client t = Client.of_call (route t)
+
+let put ?branch ?context t ~key value =
+  Client.put ?branch ?context (client t) ~key value
+
+let get ?branch t ~key = Client.get ?branch (client t) ~key
+
+let fork t ~key ~from_branch ~new_branch =
+  Client.fork (client t) ~key ~from_branch ~new_branch
+
+let merge ?resolver t ~key ~target ~ref_branch =
+  Client.merge ?resolver (client t) ~key ~target ~ref_branch
 
 let stats t =
   List.init (Shard_map.n t.map) (fun i -> Client.stats (conn t i))
@@ -476,7 +484,7 @@ let head_of branches ~branch =
 (* Current base object of [key]@[branch], loaded from the home shard's
    meta chunks. *)
 let base_objects t ~key ~branch =
-  let branches = list_branches t ~key in
+  let branches = Client.list_branches (client t) ~key in
   match head_of branches ~branch with
   | None -> []
   | Some uid -> (
@@ -510,7 +518,9 @@ let put_scattered ?(branch = "master") ?(context = "") t ~key content =
     per_shard;
   (* meta is home-local (the paper's "meta chunks stay with the servlet") *)
   push_chunks_batched t ~dst:home [ Chunk.encode meta ];
-  with_route t ~key (fun c -> Client.restore_branch c ~key ~branch uid);
+  Client.restore_branch
+    (Client.of_call (with_route t ~key))
+    ~key ~branch uid;
   uid
 
 (* A read-through store over the cluster: cache first, then the chunk's
@@ -544,7 +554,7 @@ let cluster_store t ~home =
   }
 
 let get_scattered ?(branch = "master") t ~key =
-  let branches = list_branches t ~key in
+  let branches = Client.list_branches (client t) ~key in
   match head_of branches ~branch with
   | None -> None
   | Some uid -> (

@@ -60,11 +60,25 @@ val map : t -> Shard_map.t
 
 val close : t -> unit
 
-(** {1 Routed operations}
+(** {1 Routed operations} *)
 
-    Each raises {!Unroutable} when the retry budget is exhausted and
-    {!Fbremote.Client.Remote_failure} for genuine server-side errors
-    (unknown branch, merge conflict, ...). *)
+val client : t -> Fbremote.Client.t
+(** The dispatcher as an access handle: every {!Fbremote.Client} verb
+    works on it.  Key-addressed requests ([Put] / [Get] / [Fork] /
+    [Merge] / [Track] / [List_branches]) go to the key's home shard
+    under the cached map, with [Redirect] answers turned into map
+    refreshes, [Retry] answers into backoff, and vanished shards into
+    reconnects, all within the routing budget ({!Unroutable} when it
+    runs out).  [List_keys] answers the union over every shard, sorted
+    and deduplicated.  Every other request is answered with a
+    [Wire.Error] ("not routable through the dispatcher"), which the
+    typed verbs raise as {!Fbremote.Client.Remote_failure}.  Closing the
+    handle is a no-op; {!close} the dispatcher itself. *)
+
+(** The typed verbs over {!client} that the benchmarks call directly
+    (everything else: [Client.f (client d)]).  Each raises {!Unroutable} when the
+    retry budget is exhausted and {!Fbremote.Client.Remote_failure} for
+    genuine server-side errors (unknown branch, merge conflict, ...). *)
 
 val put :
   ?branch:string -> ?context:string -> t -> key:string ->
@@ -76,15 +90,6 @@ val fork : t -> key:string -> from_branch:string -> new_branch:string -> unit
 val merge :
   ?resolver:string -> t -> key:string -> target:string -> ref_branch:string ->
   Fbchunk.Cid.t
-
-val track :
-  ?branch:string -> t -> key:string -> lo:int -> hi:int ->
-  (int * Fbchunk.Cid.t) list
-
-val list_branches : t -> key:string -> (string * Fbchunk.Cid.t) list
-
-val list_keys : t -> string list
-(** Union over every shard, sorted and deduplicated. *)
 
 val stats : t -> Fbremote.Wire.stats list
 (** Per-shard stats, in shard order — the CLI's cluster-status view. *)

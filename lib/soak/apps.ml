@@ -1,8 +1,6 @@
 module Splitmix = Fbutil.Splitmix
 module Client = Fbremote.Client
 module Wire = Fbremote.Wire
-module Server = Fbremote.Server
-module Db = Forkbase.Db
 module Am = Fbcheck.App_model
 module Zipf = Workload.Zipf
 module Mixer = Workload.Mixer
@@ -76,17 +74,13 @@ let aval_of_wire = function
   | Wire.Map kvs -> Am.AMap kvs
   | Wire.Set l -> Am.ASet l
 
-let client_reader c : Am.reader =
+(* The application state as one handle reads it; an [Error] answer
+   (unknown key or branch) reads as absent. *)
+let reader c : Am.reader =
  fun ~key ~branch ->
   match Client.get ~branch c ~key with
   | v -> Some (aval_of_wire v)
   | exception Client.Remote_failure _ -> None
-
-let db_reader db : Am.reader =
- fun ~key ~branch ->
-  match Db.get ~branch db ~key with
-  | Ok v -> Some (aval_of_wire (Server.to_wire_value v))
-  | Error _ -> None
 
 let inline_check t ~what ~key expected got =
   t.inline_checks <- t.inline_checks + 1;
@@ -119,12 +113,8 @@ let kv_step t c ~op =
     (* read-back, checked inline against the oracle *)
     let key = kv_str_key (Zipf.sample t.kv_zipf t.rng) in
     let expected = Option.map (fun v -> Am.AStr v) (Am.Kv.get t.kv ~key) in
-    let got =
-      match Client.get c ~key with
-      | v -> Some (aval_of_wire v)
-      | exception Client.Remote_failure _ -> None
-    in
-    inline_check t ~what:"kv-str" ~key expected got
+    inline_check t ~what:"kv-str" ~key expected
+      (reader c ~key ~branch:"master")
   end
   else if roll < 80 then begin
     let key = kv_str_key (Zipf.sample t.kv_zipf t.rng) in
@@ -177,7 +167,7 @@ let wiki_step t c ~op:_ =
           Option.map (fun m -> Am.ABlob m) (Am.Wiki.master t.wiki ~page)
         in
         inline_check t ~what:"wiki-merge" ~key:page expected
-          (client_reader c ~key:page ~branch:"master")
+          (reader c ~key:page ~branch:"master")
       end
   | None -> (
       match Am.Wiki.master t.wiki ~page with
@@ -244,7 +234,7 @@ let ledger_step t c ~op =
       else None
     in
     inline_check t ~what:"ledger-audit" ~key expected
-      (client_reader c ~key ~branch:"master")
+      (reader c ~key ~branch:"master")
   end
 
 let step t c ~op =
@@ -258,10 +248,8 @@ let inline_checks t = t.inline_checks
 let ops_by_app t =
   [ ("kv", t.kv_ops); ("wiki", t.wiki_ops); ("ledger", t.ledger_ops) ]
 
-let check_reader t read =
+let check t c =
+  let read = reader c in
   Am.Kv.check t.kv read
   @ Am.Wiki.check t.wiki read
   @ Am.Ledger.check t.ledger ~account_key:acct_key ~meta_key read
-
-let check_client t c = check_reader t (client_reader c)
-let check_db t db = check_reader t (db_reader db)

@@ -1,15 +1,17 @@
 (** The soak's mixed application traffic: three forkable applications —
     a Redis-style KV service, a versioned wiki with fork/edit/merge
     draft sessions, and a transfer ledger with a conservation invariant
-    — multiplexed over one wire connection by a weighted
+    — multiplexed over one {!Fbremote.Client} handle by a weighted
     {!Workload.Mixer}, with zipfian key popularity per application and a
     {!Fbcheck.App_model} shadow oracle updated in lockstep with every
-    operation.
+    operation.  The handle's transport is the caller's choice: an
+    embedded store ({!Fbremote.Client.local}), one server
+    ({!Fbremote.Client.connect}) or a sharded cluster
+    ([Fbshard.Dispatch.client]) run the same seeded workload.
 
     Reads are checked {e inline} against the oracle as the workload
     runs (the "continuous" half of continuous invariant checking);
-    {!check_client} / {!check_db} re-read the full application state at
-    quiesce points. *)
+    {!check} re-reads the full application state at quiesce points. *)
 
 type t
 
@@ -41,9 +43,6 @@ val inline_checks : t -> int
 val ops_by_app : t -> (string * int) list
 (** Operations issued per application, for the outcome summary. *)
 
-val check_client : t -> Fbremote.Client.t -> string list
-(** Diff the full application state against a server over the wire;
-    [[]] means every application's state matches its oracle. *)
-
-val check_db : t -> Forkbase.Db.t -> string list
-(** The same diff against a local connector (a follower's store). *)
+val check : t -> Fbremote.Client.t -> string list
+(** Diff the full application state read through a handle against the
+    oracles; [[]] means every application's state matches. *)

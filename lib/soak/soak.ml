@@ -6,6 +6,8 @@ module Replica = Fbreplica.Replica
 module Failpoint = Fbcheck.Failpoint
 module Fsck = Fbcheck.Fsck
 module Convergence = Fbcheck.Convergence
+module Shard = Fbshard.Shard
+module Dispatch = Fbshard.Dispatch
 
 (* ------------------------------------------------------------------ *)
 (* configuration *)
@@ -117,15 +119,7 @@ let () =
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
-(* scratch directories *)
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+(* the driver: state, failure path and checks shared by every topology *)
 
 let fresh_scratch cfg =
   match cfg.scratch with
@@ -139,12 +133,160 @@ let fresh_scratch cfg =
           (Filename.get_temp_dir_name ())
           (Printf.sprintf "forkbase-soak-%d-%Lx" (Unix.getpid ()) cfg.seed)
       in
-      rm_rf d;
+      Procs.rm_rf d;
       Unix.mkdir d 0o755;
       d
 
+type driver = {
+  cfg : config;
+  schedule : string list;  (* the chaos schedule, rendered for reports *)
+  replay : string;  (* the CLI command that replays this run *)
+  scratch : string;
+  apps : Apps.t;
+  mutable op : int;
+  mutable fired : string list;  (* rendered, newest first *)
+  fired_kinds : (string, int) Hashtbl.t;
+  mutable full_verifies : int;
+  mutable stores_fscked : int;
+  mutable convergence_checks : int;
+  mutable model_checks : int;
+  mutable faults_injected : int;
+}
+
+let driver cfg ~schedule ~replay =
+  if cfg.total_ops < 10 then invalid_arg "Soak: need at least 10 ops";
+  List.iter (fun s -> cfg.log ("scheduled " ^ s)) schedule;
+  {
+    cfg;
+    schedule;
+    replay;
+    scratch = fresh_scratch cfg;
+    apps =
+      Apps.create ~seed:cfg.seed ~kv_keys:cfg.kv_keys ~wiki_pages:cfg.wiki_pages
+        ~accounts:cfg.accounts ~theta:cfg.theta ~page_bytes:cfg.page_bytes
+        ~value_bytes:cfg.value_bytes;
+    op = 0;
+    fired = [];
+    fired_kinds = Hashtbl.create 8;
+    full_verifies = 0;
+    stores_fscked = 0;
+    convergence_checks = 0;
+    model_checks = 0;
+    faults_injected = 0;
+  }
+
+let fail d ~what ~detail =
+  raise
+    (Soak_failed
+       {
+         f_seed = d.cfg.seed;
+         f_at_op = d.op;
+         f_what = what;
+         f_detail = detail;
+         f_schedule = d.schedule;
+         f_fired = List.rev d.fired;
+         f_scratch = d.scratch;
+         f_replay = d.replay;
+       })
+
+let record_fired d ~kind line =
+  Hashtbl.replace d.fired_kinds kind
+    (1 + Option.value ~default:0 (Hashtbl.find_opt d.fired_kinds kind));
+  d.fired <- line :: d.fired;
+  d.cfg.log ("chaos " ^ line)
+
+let fsck_dir_clean d ~ctx dir =
+  let report = Fsck.check_dir dir in
+  d.stores_fscked <- d.stores_fscked + 1;
+  if not (Fsck.ok report) then
+    fail d
+      ~what:(Printf.sprintf "fsck violations in %s (%s)" dir ctx)
+      ~detail:(List.map Fsck.violation_to_string report.Fsck.violations)
+
+(* The full application state read through [c] must match the oracles. *)
+let check_model d ~who ~reason c =
+  let diff = Apps.check d.apps c in
+  d.model_checks <- d.model_checks + 1;
+  if diff <> [] then
+    fail d
+      ~what:
+        (Printf.sprintf "%s state diverged from the model (%s)" who reason)
+      ~detail:diff
+
+let log_verified d ~reason what =
+  d.full_verifies <- d.full_verifies + 1;
+  d.cfg.log (Printf.sprintf "[op %d] verify ok (%s): %s" d.op reason what)
+
+(* What the driver loop needs from the stores it runs against. *)
+type topology = {
+  traffic : unit -> Client.t;  (* the handle the workload goes through *)
+  chaos : unit -> unit;  (* chaos events due at the current op *)
+  between_ops : unit -> unit;  (* background work after each op *)
+  verify : string -> unit;  (* quiesce and assert every invariant *)
+  shutdown : unit -> unit;  (* graceful stop, then fsck every store *)
+  teardown : unit -> unit;  (* always runs: kill processes, close stores *)
+  kinds : string list;  (* chaos kinds the outcome reports *)
+}
+
+let drive d topo =
+  let cfg = d.cfg in
+  let started =
+    match cfg.deadline with None -> 0. | Some _ -> Unix.gettimeofday ()
+  in
+  let over_deadline () =
+    match cfg.deadline with
+    | None -> false
+    | Some s -> Unix.gettimeofday () -. started > s
+  in
+  let failed = ref true in
+  Fun.protect
+    ~finally:(fun () ->
+      topo.teardown ();
+      if (not !failed) && not cfg.keep_scratch then Procs.rm_rf d.scratch)
+  @@ fun () ->
+  let result =
+    try
+      let timed_out = ref false in
+      while (not !timed_out) && d.op < cfg.total_ops do
+        d.op <- d.op + 1;
+        topo.chaos ();
+        Apps.step d.apps (topo.traffic ()) ~op:d.op;
+        topo.between_ops ();
+        if d.op mod cfg.verify_every = 0 then topo.verify "periodic";
+        if d.op land 63 = 0 && over_deadline () then timed_out := true
+      done;
+      topo.verify "final";
+      topo.shutdown ();
+      {
+        ops_done = d.op;
+        events_fired =
+          List.map
+            (fun k ->
+              (k, Option.value ~default:0 (Hashtbl.find_opt d.fired_kinds k)))
+            topo.kinds;
+        inline_checks = Apps.inline_checks d.apps;
+        full_verifies = d.full_verifies;
+        stores_fscked = d.stores_fscked;
+        convergence_checks = d.convergence_checks;
+        model_checks = d.model_checks;
+        faults_injected = d.faults_injected;
+        ops_by_app = Apps.ops_by_app d.apps;
+        timed_out = !timed_out;
+      }
+    with
+    | Soak_failed _ as e -> raise e
+    | Apps.Mismatch lines ->
+        fail d ~what:"inline read-back diverged from the model" ~detail:lines
+    | e ->
+        fail d
+          ~what:("unexpected exception: " ^ Printexc.to_string e)
+          ~detail:(String.split_on_char '\n' (Printexc.get_backtrace ()))
+  in
+  failed := false;
+  result
+
 (* ------------------------------------------------------------------ *)
-(* harness state *)
+(* topology 1: a primary process plus in-process followers *)
 
 type fnode = {
   mutable rep : Replica.t;
@@ -153,42 +295,15 @@ type fnode = {
 }
 
 type st = {
-  cfg : config;
-  schedule : Chaos.scheduled list;
-  mutable pending : Chaos.scheduled list;
-  mutable fired : string list;  (* rendered, newest first *)
-  fired_kinds : (string, int) Hashtbl.t;
-  apps : Apps.t;
+  d : driver;
   port : int;  (* stable across restarts and promotions *)
+  mutable pending : Chaos.scheduled list;
   mutable primary : Procs.t;
   mutable pdir : string;
   mutable client : Client.t;
   fols : fnode array;
   mutable fault_until : int option;
-  mutable faults_injected : int;
-  mutable full_verifies : int;
-  mutable stores_fscked : int;
-  mutable convergence_checks : int;
-  mutable model_checks : int;
-  mutable op : int;
-  scratch : string;
 }
-
-let fail st ~what ~detail =
-  raise
-    (Soak_failed
-       {
-         f_seed = st.cfg.seed;
-         f_at_op = st.op;
-         f_what = what;
-         f_detail = detail;
-         f_schedule = List.map Chaos.scheduled_to_string st.schedule;
-         f_fired = List.rev st.fired;
-         f_scratch = st.scratch;
-         f_replay =
-           Printf.sprintf "forkbase soak --profile short --ops %d --seed 0x%Lx"
-             st.cfg.total_ops st.cfg.seed;
-       })
 
 let connect st = Client.connect ~retries:100 ~port:st.port ()
 
@@ -198,14 +313,11 @@ let open_fnode st fn =
       ~wrap_store:(Failpoint.store fn.fp)
       ~retries:10 ~dir:fn.fdir ~host:"127.0.0.1" ~port:st.port ()
 
-(* ------------------------------------------------------------------ *)
-(* follower syncing *)
-
 (* A plan's [Failpoint.injected] counts every fault that fired (dropped
    reads included, which never raise); fold it into the run total when
    the plan is retired. *)
 let retire_fp st fn next =
-  st.faults_injected <- st.faults_injected + Failpoint.injected fn.fp;
+  st.d.faults_injected <- st.d.faults_injected + Failpoint.injected fn.fp;
   fn.fp <- next
 
 let sync_once fn =
@@ -219,7 +331,7 @@ let catch_up st fn ~who =
   let gone = ref 0 in
   let rec go budget =
     if budget = 0 then
-      fail st ~what:(who ^ " failed to catch up")
+      fail st.d ~what:(who ^ " failed to catch up")
         ~detail:
           [
             Printf.sprintf "lag still %d after sync budget exhausted"
@@ -232,7 +344,7 @@ let catch_up st fn ~who =
       | Replica.Primary_gone ->
           incr gone;
           if !gone > 5 then
-            fail st ~what:(who ^ ": primary unreachable during catch-up")
+            fail st.d ~what:(who ^ ": primary unreachable during catch-up")
               ~detail:[ Printf.sprintf "%d consecutive failed pulls" !gone ]
           else go (budget - 1)
       | (_ : Replica.progress) ->
@@ -249,9 +361,6 @@ let with_faults_paused st f =
       if armed then Array.iter (fun fn -> Failpoint.arm fn.fp) st.fols)
     f
 
-(* ------------------------------------------------------------------ *)
-(* the three invariant families *)
-
 let client_heads c =
   Convergence.normalize
     (List.map
@@ -262,75 +371,45 @@ let client_heads c =
              (Client.list_branches c ~key) ))
        (Client.list_keys c))
 
-let fsck_dir_clean st ~ctx dir =
-  let report = Fsck.check_dir dir in
-  st.stores_fscked <- st.stores_fscked + 1;
-  if not (Fsck.ok report) then
-    fail st
-      ~what:(Printf.sprintf "fsck violations in %s (%s)" dir ctx)
-      ~detail:(List.map Fsck.violation_to_string report.Fsck.violations)
-
 (* Quiesce and assert everything: followers caught up, heads converged,
    application state model-consistent on every store, follower stores
-   fsck-clean. *)
+   fsck-clean.  Followers are read through embedded handles, the primary
+   over the wire — the same verbs either way. *)
 let verify_all st ~reason =
+  let d = st.d in
   with_faults_paused st @@ fun () ->
   Array.iteri
     (fun i fn -> catch_up st fn ~who:(Printf.sprintf "follower %d" i))
     st.fols;
+  let local fn = Client.local (Replica.db fn.rep) in
   let primary_heads = client_heads st.client in
   Array.iteri
     (fun i fn ->
-      let fh = Convergence.of_db (Replica.db fn.rep) in
-      st.convergence_checks <- st.convergence_checks + 1;
+      d.convergence_checks <- d.convergence_checks + 1;
       let diverged =
         Convergence.diff ~left_name:"primary"
           ~right_name:(Printf.sprintf "follower %d" i)
-          ~left:primary_heads ~right:fh
+          ~left:primary_heads ~right:(client_heads (local fn))
       in
       if diverged <> [] then
-        fail st
+        fail d
           ~what:(Printf.sprintf "replication diverged (%s)" reason)
           ~detail:diverged)
     st.fols;
-  let model_diff = Apps.check_client st.apps st.client in
-  st.model_checks <- st.model_checks + 1;
-  if model_diff <> [] then
-    fail st
-      ~what:(Printf.sprintf "primary state diverged from the model (%s)" reason)
-      ~detail:model_diff;
+  check_model d ~who:"primary" ~reason st.client;
   Array.iteri
     (fun i fn ->
-      let d = Apps.check_db st.apps (Replica.db fn.rep) in
-      st.model_checks <- st.model_checks + 1;
-      if d <> [] then
-        fail st
-          ~what:
-            (Printf.sprintf "follower %d state diverged from the model (%s)" i
-               reason)
-          ~detail:d;
+      check_model d ~who:(Printf.sprintf "follower %d" i) ~reason (local fn);
       let report = Fsck.check_db (Replica.db fn.rep) in
-      st.stores_fscked <- st.stores_fscked + 1;
+      d.stores_fscked <- d.stores_fscked + 1;
       if not (Fsck.ok report) then
-        fail st
+        fail d
           ~what:(Printf.sprintf "fsck violations on follower %d (%s)" i reason)
           ~detail:(List.map Fsck.violation_to_string report.Fsck.violations))
     st.fols;
-  st.full_verifies <- st.full_verifies + 1;
-  st.cfg.log
-    (Printf.sprintf "[op %d] verify ok (%s): %d keys converged on %d followers"
-       st.op reason (List.length primary_heads) (Array.length st.fols))
-
-(* ------------------------------------------------------------------ *)
-(* chaos events *)
-
-let record_fired st ev =
-  let kind = Chaos.kind_name ev in
-  Hashtbl.replace st.fired_kinds kind
-    (1 + Option.value ~default:0 (Hashtbl.find_opt st.fired_kinds kind));
-  let line = Chaos.scheduled_to_string { Chaos.at = st.op; event = ev } in
-  st.fired <- line :: st.fired;
-  st.cfg.log ("chaos " ^ line)
+  log_verified d ~reason
+    (Printf.sprintf "%d keys converged on %d followers"
+       (List.length primary_heads) (Array.length st.fols))
 
 let close_client st =
   try Client.close st.client
@@ -342,7 +421,9 @@ let disarm_all st =
   st.fault_until <- None
 
 let fire st ev =
-  record_fired st ev;
+  let d = st.d in
+  record_fired d ~kind:(Chaos.kind_name ev)
+    (Chaos.scheduled_to_string { Chaos.at = d.op; event = ev });
   match ev with
   | Chaos.Fault_followers { fp_seed; arm_ops } ->
       (* fresh per-follower fault plans from the event's seed; reopening
@@ -361,19 +442,19 @@ let fire st ev =
           open_fnode st fn;
           Failpoint.arm fn.fp)
         st.fols;
-      st.fault_until <- Some (st.op + arm_ops)
+      st.fault_until <- Some (d.op + arm_ops)
   | Chaos.Kill_restart_primary ->
       close_client st;
       Procs.kill st.primary;
-      fsck_dir_clean st ~ctx:"primary store after SIGKILL" st.pdir;
+      fsck_dir_clean d ~ctx:"primary store after SIGKILL" st.pdir;
       st.primary <- Proc.spawn_primary ~port:st.port ~dir:st.pdir ();
       st.client <- connect st;
       verify_all st ~reason:"after kill-restart"
   | Chaos.Force_compaction ->
       let chunks, bytes = Client.checkpoint st.client in
-      st.cfg.log
+      d.cfg.log
         (Printf.sprintf "[op %d] compaction reclaimed %d chunks, %d bytes"
-           st.op chunks bytes);
+           d.op chunks bytes);
       (* let the followers race the rotated journal right away *)
       Array.iter sync_once st.fols;
       verify_all st ~reason:"after forced compaction"
@@ -385,10 +466,10 @@ let fire st ev =
         st.fols;
       close_client st;
       Procs.kill st.primary;
-      fsck_dir_clean st ~ctx:"old primary after SIGKILL" st.pdir;
+      fsck_dir_clean d ~ctx:"old primary after SIGKILL" st.pdir;
       let fn0 = st.fols.(0) in
       Replica.close fn0.rep;
-      fsck_dir_clean st ~ctx:"follower store about to be promoted" fn0.fdir;
+      fsck_dir_clean d ~ctx:"follower store about to be promoted" fn0.fdir;
       let old_pdir = st.pdir in
       st.pdir <- fn0.fdir;
       st.primary <- Proc.spawn_primary ~port:st.port ~dir:st.pdir ();
@@ -402,6 +483,7 @@ let fire st ev =
 
 (* the deliberate-corruption hook: prove a damaged store cannot pass *)
 let sabotage st =
+  let d = st.d in
   let fn0 = st.fols.(0) in
   Replica.close fn0.rep;
   let path = Filename.concat fn0.fdir "chunks.log" in
@@ -418,397 +500,185 @@ let sabotage st =
   let oc = open_out_bin path in
   output_bytes oc b;
   close_out oc;
-  st.cfg.log
-    (Printf.sprintf "[op %d] sabotage: corrupted %s from byte %d" st.op path
+  d.cfg.log
+    (Printf.sprintf "[op %d] sabotage: corrupted %s from byte %d" d.op path
        (len / 2));
   let report = Fsck.check_dir fn0.fdir in
-  st.stores_fscked <- st.stores_fscked + 1;
+  d.stores_fscked <- d.stores_fscked + 1;
   if Fsck.ok report then
-    fail st ~what:"sabotaged store passed fsck"
+    fail d ~what:"sabotaged store passed fsck"
       ~detail:[ "corruption was injected but no violation was reported" ]
   else
-    fail st ~what:"fsck violations on follower 0 (sabotaged store)"
+    fail d ~what:"fsck violations on follower 0 (sabotaged store)"
       ~detail:(List.map Fsck.violation_to_string report.Fsck.violations)
 
-(* ------------------------------------------------------------------ *)
-(* the run *)
+let chaos_due st =
+  let d = st.d in
+  (match st.pending with
+  | { Chaos.at; event } :: rest when at = d.op ->
+      st.pending <- rest;
+      fire st event
+  | _ -> ());
+  (match d.cfg.sabotage_at with Some n when n = d.op -> sabotage st | _ -> ());
+  (* fault window closing? heal, then verify everything *)
+  match st.fault_until with
+  | Some u when d.op >= u ->
+      disarm_all st;
+      verify_all st ~reason:"after fault window"
+  | _ -> ()
+
+(* graceful shutdown, then fsck every store from its directory *)
+let shutdown st =
+  let d = st.d in
+  disarm_all st;
+  (try Client.quit_server st.client (* server may already be draining *)
+   with _ -> () (* lint: allow no-swallow *));
+  close_client st;
+  Procs.reap st.primary;
+  fsck_dir_clean d ~ctx:"primary store after shutdown" st.pdir;
+  Array.iteri
+    (fun i fn ->
+      Replica.close fn.rep;
+      fsck_dir_clean d
+        ~ctx:(Printf.sprintf "follower %d store after shutdown" i)
+        fn.fdir;
+      (* reopen so teardown's close is harmless *)
+      open_fnode st fn)
+    st.fols;
+  Array.iter (fun fn -> retire_fp st fn (Failpoint.none ())) st.fols
+
+let teardown st =
+  disarm_all st;
+  close_client st;
+  Procs.kill st.primary;
+  Array.iter
+    (* teardown of possibly-failed state *)
+    (fun fn -> try Replica.close fn.rep with _ -> () (* lint: allow no-swallow *))
+    st.fols
 
 let run cfg =
   if cfg.followers < 1 then invalid_arg "Soak.run: need at least one follower";
-  if cfg.total_ops < 10 then invalid_arg "Soak.run: need at least 10 ops";
-  let scratch = fresh_scratch cfg in
   let schedule =
     Chaos.schedule ~seed:cfg.seed ~total_ops:cfg.total_ops
       ~events:cfg.chaos_events
   in
-  List.iter (fun s -> cfg.log ("scheduled " ^ Chaos.scheduled_to_string s))
-    schedule;
-  let pdir = Filename.concat scratch "store-0" in
-  let primary = Proc.spawn_primary ~dir:pdir () in
+  let d =
+    driver cfg
+      ~schedule:(List.map Chaos.scheduled_to_string schedule)
+      ~replay:
+        (Printf.sprintf "forkbase soak --profile short --ops %d --seed 0x%Lx"
+           cfg.total_ops cfg.seed)
+  in
+  let store i = Filename.concat d.scratch (Printf.sprintf "store-%d" i) in
+  let primary = Proc.spawn_primary ~dir:(store 0) () in
   let port = Procs.port primary in
   let fols =
     Array.init cfg.followers (fun i ->
         {
           rep =
-            Replica.open_follower ~retries:10
-              ~dir:(Filename.concat scratch (Printf.sprintf "store-%d" (i + 1)))
+            Replica.open_follower ~retries:10 ~dir:(store (i + 1))
               ~host:"127.0.0.1" ~port ();
-          fdir = Filename.concat scratch (Printf.sprintf "store-%d" (i + 1));
+          fdir = store (i + 1);
           fp = Failpoint.none ();
         })
   in
   let st =
     {
-      cfg;
-      schedule;
-      pending = schedule;
-      fired = [];
-      fired_kinds = Hashtbl.create 8;
-      apps =
-        Apps.create ~seed:cfg.seed ~kv_keys:cfg.kv_keys
-          ~wiki_pages:cfg.wiki_pages ~accounts:cfg.accounts ~theta:cfg.theta
-          ~page_bytes:cfg.page_bytes ~value_bytes:cfg.value_bytes;
+      d;
       port;
+      pending = schedule;
       primary;
-      pdir;
+      pdir = store 0;
       client = Client.connect ~retries:100 ~port ();
       fols;
       fault_until = None;
-      faults_injected = 0;
-      full_verifies = 0;
-      stores_fscked = 0;
-      convergence_checks = 0;
-      model_checks = 0;
-      op = 0;
-      scratch;
     }
   in
-  let timed_out = ref false in
-  let started =
-    match cfg.deadline with None -> 0. | Some _ -> Unix.gettimeofday ()
-  in
-  let over_deadline () =
-    match cfg.deadline with
-    | None -> false
-    | Some s -> Unix.gettimeofday () -. started > s
-  in
-  let cleanup ~failed =
-    disarm_all st;
-    close_client st;
-    Procs.kill st.primary;
-    Array.iter
-      (* teardown of possibly-failed state *)
-      (fun fn -> try Replica.close fn.rep with _ -> () (* lint: allow no-swallow *))
-      st.fols;
-    if (not failed) && not cfg.keep_scratch then rm_rf st.scratch
-  in
-  let failed = ref true in
-  Fun.protect ~finally:(fun () -> cleanup ~failed:!failed) @@ fun () ->
-  let result =
-    try
-      let continue_ = ref true in
-      while !continue_ && st.op < cfg.total_ops do
-        st.op <- st.op + 1;
-        (* chaos due at this operation? *)
-        (match st.pending with
-        | { Chaos.at; event } :: rest when at = st.op ->
-            st.pending <- rest;
-            fire st event
-        | _ -> ());
-        (match cfg.sabotage_at with
-        | Some n when n = st.op -> sabotage st
-        | _ -> ());
-        (* fault window closing? heal, then verify everything *)
-        (match st.fault_until with
-        | Some u when st.op >= u ->
-            disarm_all st;
-            verify_all st ~reason:"after fault window"
-        | _ -> ());
-        Apps.step st.apps st.client ~op:st.op;
-        if st.op mod cfg.sync_every = 0 then Array.iter sync_once st.fols;
-        if st.op mod cfg.verify_every = 0 then
-          verify_all st ~reason:"periodic";
-        if st.op land 63 = 0 && over_deadline () then begin
-          timed_out := true;
-          continue_ := false
-        end
-      done;
-      disarm_all st;
-      verify_all st ~reason:"final";
-      (* graceful shutdown, then fsck every store from its directory *)
-      (try Client.quit_server st.client (* server may already be draining *)
-       with _ -> () (* lint: allow no-swallow *));
-      close_client st;
-      Procs.reap st.primary;
-      fsck_dir_clean st ~ctx:"primary store after shutdown" st.pdir;
-      Array.iteri
-        (fun i fn ->
-          Replica.close fn.rep;
-          fsck_dir_clean st
-            ~ctx:(Printf.sprintf "follower %d store after shutdown" i)
-            fn.fdir;
-          (* reopen so cleanup's close is harmless *)
-          open_fnode st fn)
-        st.fols;
-      Array.iter (fun fn -> retire_fp st fn (Failpoint.none ())) st.fols;
-      {
-        ops_done = st.op;
-        events_fired =
-          List.map
-            (fun k ->
-              (k, Option.value ~default:0 (Hashtbl.find_opt st.fired_kinds k)))
-            Chaos.all_kind_names;
-        inline_checks = Apps.inline_checks st.apps;
-        full_verifies = st.full_verifies;
-        stores_fscked = st.stores_fscked;
-        convergence_checks = st.convergence_checks;
-        model_checks = st.model_checks;
-        faults_injected = st.faults_injected;
-        ops_by_app = Apps.ops_by_app st.apps;
-        timed_out = !timed_out;
-      }
-    with
-    | Soak_failed _ as e -> raise e
-    | Apps.Mismatch lines ->
-        fail st ~what:"inline read-back diverged from the model" ~detail:lines
-    | e ->
-        fail st
-          ~what:("unexpected exception: " ^ Printexc.to_string e)
-          ~detail:
-            (String.split_on_char '\n' (Printexc.get_backtrace ()))
-  in
-  failed := false;
-  result
+  drive d
+    {
+      traffic = (fun () -> st.client);
+      chaos = (fun () -> chaos_due st);
+      between_ops =
+        (fun () ->
+          if d.op mod cfg.sync_every = 0 then Array.iter sync_once st.fols);
+      verify = (fun reason -> verify_all st ~reason);
+      shutdown = (fun () -> shutdown st);
+      teardown = (fun () -> teardown st);
+      kinds = Chaos.all_kind_names;
+    }
 
 (* ------------------------------------------------------------------ *)
-(* sharded soak: the same discipline over a real N-shard topology *)
-
-module Shard = Fbshard.Shard
-module Shard_map = Fbshard.Shard_map
-module Dispatch = Fbshard.Dispatch
-module Wire = Fbremote.Wire
-
-(* The sharded run is its own small harness rather than a mode of [run]:
-   the three applications and the chaos schedule above are bound to a
-   single primary + followers topology, while a sharded cluster's
-   invariants are different — ownership routing, map versioning,
-   rebalance fences.  What carries over unchanged is the discipline:
-   seeded determinism, an oracle of acknowledged writes, continuous
-   inline checks, heads-equal convergence at every quiesce, and
-   fsck-clean stores at shutdown. *)
-
-let sharded_fail cfg ~shards ~op ~fired ~scratch ~what ~detail =
-  raise
-    (Soak_failed
-       {
-         f_seed = cfg.seed;
-         f_at_op = op;
-         f_what = what;
-         f_detail = detail;
-         f_schedule =
-           [
-             "shard-kill @ total_ops/3 (SIGKILL one shard, respawn on its port)";
-             "shard-add @ 2*total_ops/3 (live fence/copy/lift rebalance)";
-           ];
-         f_fired = List.rev fired;
-         f_scratch = scratch;
-         f_replay =
-           Printf.sprintf
-             "forkbase soak --profile short --shards %d --ops %d --seed 0x%Lx"
-             shards cfg.total_ops cfg.seed;
-       })
+(* topology 2: shard processes behind a dispatcher *)
 
 let run_sharded ~shards cfg =
   if shards < 2 then invalid_arg "Soak.run_sharded: need at least 2 shards";
-  if cfg.total_ops < 10 then invalid_arg "Soak.run_sharded: need >= 10 ops";
-  let scratch = fresh_scratch cfg in
-  let dirs =
-    List.init shards (fun i ->
-        Filename.concat scratch (Printf.sprintf "shard-%d" i))
+  let kill_at = cfg.total_ops / 3 and add_at = 2 * cfg.total_ops / 3 in
+  let d =
+    driver cfg
+      ~schedule:
+        [
+          Printf.sprintf "op %d: shard-kill (SIGKILL shard 0, respawn on its port)"
+            kill_at;
+          Printf.sprintf "op %d: shard-add (live fence/copy/lift rebalance)"
+            add_at;
+        ]
+      ~replay:
+        (Printf.sprintf
+           "forkbase soak --profile short --shards %d --ops %d --seed 0x%Lx"
+           shards cfg.total_ops cfg.seed)
   in
-  let procs, map = Shard.spawn_cluster ~dirs () in
+  let dir i = Filename.concat d.scratch (Printf.sprintf "shard-%d" i) in
+  let dirs = ref (List.init shards dir) in
+  let procs, map = Shard.spawn_cluster ~dirs:!dirs () in
   let procs = ref procs in
-  let d = Dispatch.of_map map in
-  let rng = Splitmix.create cfg.seed in
-  let zipf = Workload.Zipf.create ~n:cfg.kv_keys ~theta:cfg.theta in
-  (* the oracle: last acknowledged value per key; an acknowledged write
-     that later reads differently is a lost write *)
-  let acked : (string, string) Hashtbl.t = Hashtbl.create 256 in
-  let op = ref 0 in
-  let fired = ref [] in
-  let inline_checks = ref 0 in
-  let full_verifies = ref 0 in
-  let convergence_checks = ref 0 in
-  let stores_fscked = ref 0 in
-  let puts = ref 0 and gets = ref 0 and branch_ops = ref 0 in
-  let all_dirs = ref dirs in
-  let extra_procs = ref [] in
-  let fail ~what ~detail =
-    sharded_fail cfg ~shards ~op:!op ~fired:!fired ~scratch ~what ~detail
-  in
-  let key_of i = Printf.sprintf "kv-%d" i in
-  let check_key key =
-    match Hashtbl.find_opt acked key with
-    | None -> ()
-    | Some expect -> (
-        incr inline_checks;
-        match Dispatch.get d ~key with
-        | Wire.Str got when got = expect -> ()
-        | Wire.Str got ->
-            fail ~what:"acknowledged write lost"
-              ~detail:
-                [
-                  Printf.sprintf "%s: expected %S got %S" key expect got;
-                ]
-        | _ -> fail ~what:"value shape changed" ~detail:[ key ]
-        | exception e ->
-            fail
-              ~what:("read failed: " ^ Printexc.to_string e)
-              ~detail:[ key ])
-  in
-  (* every oracle entry must read back — the sharded quiesce check:
-     whatever shard a key lives on after kills and rebalances, its head
-     equals the last acknowledged write *)
-  let verify_all reason =
-    incr full_verifies;
-    cfg.log (Printf.sprintf "op %d: verify (%s)" !op reason);
-    Hashtbl.iter (fun key _ -> check_key key) acked;
-    incr convergence_checks
-  in
-  let kill_restart_one () =
-    match !procs with
-    | victim :: rest ->
-        let port = Procs.port victim in
+  let disp = Dispatch.of_map map in
+  let handle = Dispatch.client disp in
+  let kill_restart () =
+    match (!procs, !dirs) with
+    | victim :: rest, dir0 :: _ ->
         Procs.kill victim;
-        fired := Printf.sprintf "op %d: shard-kill (port %d)" !op port :: !fired;
-        cfg.log (Printf.sprintf "op %d: SIGKILL shard on port %d" !op port);
-        (match !all_dirs with
-        | dir :: _ ->
-            let revived =
-              Shard.spawn ~port ~dir ~self:0 ~map:(Dispatch.map d) ()
-            in
-            procs := revived :: rest
-        | [] -> ())
-    | [] -> ()
+        record_fired d ~kind:"shard-kill"
+          (Printf.sprintf "op %d: shard-kill (shard 0)" d.op);
+        procs :=
+          Shard.spawn ~port:(Procs.port victim) ~dir:dir0 ~self:0
+            ~map:(Dispatch.map disp) ()
+          :: rest
+    | _ -> ()
   in
-  let add_one_shard () =
-    let self = Shard_map.n (Dispatch.map d) in
-    let dir = Filename.concat scratch (Printf.sprintf "shard-%d" self) in
-    let p = Shard.spawn ~dir ~self ~map:(Dispatch.map d) () in
-    extra_procs := p :: !extra_procs;
-    all_dirs := !all_dirs @ [ dir ];
-    let moved = Dispatch.add_shard d ~host:"127.0.0.1" ~port:(Procs.port p) in
-    fired :=
-      Printf.sprintf "op %d: shard-add (%d keys moved)" !op moved :: !fired;
-    cfg.log (Printf.sprintf "op %d: added shard %d, %d keys moved" !op self moved)
+  let add_shard () =
+    let self = Fbshard.Shard_map.n (Dispatch.map disp) in
+    let p = Shard.spawn ~dir:(dir self) ~self ~map:(Dispatch.map disp) () in
+    procs := !procs @ [ p ];
+    dirs := !dirs @ [ dir self ];
+    let moved =
+      Dispatch.add_shard disp ~host:"127.0.0.1" ~port:(Procs.port p)
+    in
+    record_fired d ~kind:"shard-add"
+      (Printf.sprintf "op %d: shard-add (shard %d, %d keys moved)" d.op self
+         moved)
   in
-  let kill_at = cfg.total_ops / 3 in
-  let add_at = 2 * cfg.total_ops / 3 in
-  let timed_out = ref false in
-  let started =
-    match cfg.deadline with None -> 0. | Some _ -> Unix.gettimeofday ()
-  in
-  let over_deadline () =
-    match cfg.deadline with
-    | None -> false
-    | Some s -> Unix.gettimeofday () -. started > s
-  in
-  let failed = ref true in
-  let cleanup () =
-    List.iter Procs.kill !procs;
-    List.iter Procs.kill !extra_procs;
-    (try Dispatch.close d with _ -> () (* lint: allow no-swallow *));
-    if (not !failed) && not cfg.keep_scratch then rm_rf scratch
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  let result =
-    try
-      let continue_ = ref true in
-      while !continue_ && !op < cfg.total_ops do
-        incr op;
-        if !op = kill_at then kill_restart_one ();
-        if !op = add_at then add_one_shard ();
-        let i = Workload.Zipf.sample zipf rng in
-        let key = key_of i in
-        let roll = Splitmix.int rng 10 in
-        if roll < 6 then begin
-          incr puts;
-          let value =
-            Printf.sprintf "op%d:%s" !op (Splitmix.alphanum rng cfg.value_bytes)
-          in
-          let (_ : Fbchunk.Cid.t) = Dispatch.put d ~key (Wire.Str value) in
-          Hashtbl.replace acked key value
-        end
-        else if roll < 9 then begin
-          incr gets;
-          check_key key
-        end
-        else begin
-          (* exercise the versioned ops across the wire: fork a branch,
-             write it, merge it back — the merged value becomes the
-             acknowledged head *)
-          incr branch_ops;
-          match Hashtbl.find_opt acked key with
-          | None -> ()
-          | Some _ ->
-              let b = Printf.sprintf "soak-%d" !op in
-              Dispatch.fork d ~key ~from_branch:"master" ~new_branch:b;
-              let value =
-                Printf.sprintf "op%d:%s" !op
-                  (Splitmix.alphanum rng cfg.value_bytes)
-              in
-              let (_ : Fbchunk.Cid.t) =
-                Dispatch.put d ~branch:b ~key (Wire.Str value)
-              in
-              let (_ : Fbchunk.Cid.t) =
-                Dispatch.merge d ~key ~target:"master" ~ref_branch:b
-              in
-              Hashtbl.replace acked key value
-        end;
-        if !op mod cfg.verify_every = 0 then verify_all "periodic";
-        if !op land 63 = 0 && over_deadline () then begin
-          timed_out := true;
-          continue_ := false
-        end
-      done;
-      verify_all "final";
-      (* graceful shutdown, then fsck every shard store *)
-      Dispatch.quit_all d;
-      List.iter Procs.reap !procs;
-      List.iter Procs.reap !extra_procs;
-      List.iter
-        (fun dir ->
-          incr stores_fscked;
-          let report = Fsck.check_dir dir in
-          if not (Fsck.ok report) then
-            fail
-              ~what:(dir ^ " not fsck-clean after shutdown")
-              ~detail:
-                (List.map Fsck.violation_to_string report.Fsck.violations))
-        !all_dirs;
-      {
-        ops_done = !op;
-        events_fired =
-          [
-            ("shard-kill", if !op >= kill_at then 1 else 0);
-            ("shard-add", if !op >= add_at then 1 else 0);
-          ];
-        inline_checks = !inline_checks;
-        full_verifies = !full_verifies;
-        stores_fscked = !stores_fscked;
-        convergence_checks = !convergence_checks;
-        model_checks = 0;
-        faults_injected = 0;
-        ops_by_app =
-          [ ("put", !puts); ("get", !gets); ("branch", !branch_ops) ];
-        timed_out = !timed_out;
-      }
-    with
-    | Soak_failed _ as e -> raise e
-    | e ->
-        fail
-          ~what:("unexpected exception: " ^ Printexc.to_string e)
-          ~detail:(String.split_on_char '\n' (Printexc.get_backtrace ()))
-  in
-  failed := false;
-  result
+  drive d
+    {
+      traffic = (fun () -> handle);
+      chaos =
+        (fun () ->
+          if d.op = kill_at then kill_restart ();
+          if d.op = add_at then add_shard ());
+      between_ops = ignore;
+      verify =
+        (fun reason ->
+          check_model d ~who:"cluster" ~reason handle;
+          log_verified d ~reason
+            (Printf.sprintf "application state matches on %d shards"
+               (List.length !procs)));
+      shutdown =
+        (fun () ->
+          Dispatch.quit_all disp;
+          List.iter Procs.reap !procs;
+          List.iter (fsck_dir_clean d ~ctx:"shard store after shutdown") !dirs);
+      teardown =
+        (fun () ->
+          List.iter Procs.kill !procs;
+          Dispatch.close disp);
+      kinds = [ "shard-kill"; "shard-add" ];
+    }

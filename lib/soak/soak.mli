@@ -18,8 +18,9 @@
       each full verify, and over a primary's directory whenever its
       process is dead (after kills, before promotion, at shutdown);
     - {b model-consistent application state}: inline read-backs during
-      traffic plus full {!Fbcheck.App_model} diffs of primary (over the
-      wire) and followers (local connectors);
+      traffic plus full {!Fbcheck.App_model} diffs of the primary (over
+      the wire) and the followers ({!Fbremote.Client.local} handles on
+      their stores);
     - {b replication convergence}: after each quiesce every follower is
       synced until caught up ([lag = 0]) and its full head map must equal
       the primary's ({!Fbcheck.Convergence}).
@@ -28,7 +29,7 @@
     schedules derive from [config.seed] alone, a failing run raises
     {!Soak_failed} carrying the seed and the chaos-event log, and
     {!failure_report} prints the `forkbase soak` command that replays
-    it. *)
+    it.  {!run_sharded} runs the same driver over a sharded cluster. *)
 
 type config = {
   seed : int64;  (** drives workload, chaos schedule, and fault plans *)
@@ -103,16 +104,15 @@ val run : config -> outcome
 (** Run the soak.  @raise Soak_failed on any invariant violation. *)
 
 val run_sharded : shards:int -> config -> outcome
-(** The sharded variant (`forkbase soak --shards N`): a seeded mixed
-    workload (puts, inline-checked reads, fork/edit/merge cycles)
-    driven through a {!Fbshard.Dispatch} dispatcher over [shards] real
-    shard processes, with two scheduled chaos events — one shard
-    SIGKILLed and respawned on its port at [total_ops/3], one live
-    fence/copy/lift rebalance ({!Fbshard.Dispatch.add_shard}) at
-    [2*total_ops/3] while writes continue.  The oracle of acknowledged
-    writes is checked inline, at every [verify_every] quiesce, and
-    finally after shutdown every shard store must fsck clean — zero
-    lost acknowledged writes across kills and rebalances, or
-    {!Soak_failed} with the replaying command.  Reuses [config]'s seed /
-    op budget / keyspace / cadence fields; followers and chaos_events
-    are ignored. *)
+(** The same driver over a second topology (`forkbase soak --shards N`):
+    the three-application {!Apps} workload, deadline, failure report and
+    outcome record of {!run}, with traffic going through a
+    {!Fbshard.Dispatch.client} handle over [shards] real shard
+    processes.  Only the chaos and the quiesce step differ.  There are
+    two chaos events: at [total_ops/3] shard 0 is SIGKILLed and
+    respawned on its port, and at [2*total_ops/3] a live fence/copy/lift
+    rebalance ({!Fbshard.Dispatch.add_shard}) adds a shard while writes
+    continue.  At every quiesce the full application state is diffed
+    through the dispatcher handle, and after shutdown every shard store
+    must fsck clean.  [followers], [chaos_events], [sync_every] and
+    [sabotage_at] are ignored. *)

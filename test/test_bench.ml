@@ -182,21 +182,8 @@ let as_str field = function
 
 (* --- Bench_json in process: escaping and non-finite values --- *)
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbbenchtest-%d-%d" (Unix.getpid ())
-         (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let test_reporter_roundtrip () =
-  with_temp_dir @@ fun dir ->
+  Fbremote.Procs.with_temp_dir @@ fun dir ->
   Bench_json.set_sink ~dir ~git_rev:"rev\"with\\quotes" ~scale:"small";
   Bench_json.begin_experiment ~area:"unit" ~id:"exp1";
   Bench_json.metric ~name:"plain" ~value:42.5 ~unit:"ops/s";
@@ -247,7 +234,7 @@ let bench_dir =
 let bench_exe = Filename.concat bench_dir "main.exe"
 
 let test_smoke_run_emits_valid_json () =
-  with_temp_dir @@ fun dir ->
+  Fbremote.Procs.with_temp_dir @@ fun dir ->
   let cmd =
     Printf.sprintf "%s smoke --json-dir %s --git-rev testrev > /dev/null"
       (Filename.quote bench_exe) (Filename.quote dir)
@@ -325,6 +312,16 @@ let test_every_experiment_module_reports () =
       "experiment modules without any Bench_json.metric call: %s"
       (String.concat ", " offenders)
 
+(* --- forked workers: a failed child fails the join --- *)
+
+let test_fork_workers_fail_loudly () =
+  Bench_util.fork_workers 3 ignore ();
+  match Bench_util.fork_workers 3 (fun i -> if i = 1 then failwith "boom") () with
+  | () -> Alcotest.fail "a failed worker must fail the join"
+  | exception Failure msg ->
+      Alcotest.(check string) "names the failures" "1 of 3 bench workers failed"
+        msg
+
 let () =
   Random.self_init ();
   Alcotest.run "bench"
@@ -334,6 +331,11 @@ let () =
           Alcotest.test_case "interpolates" `Quick test_percentile_interpolates;
           Alcotest.test_case "bounds" `Quick test_percentile_bounds;
           Alcotest.test_case "sorted_of_list" `Quick test_sorted_of_list;
+        ] );
+      ( "workers",
+        [
+          Alcotest.test_case "a failed child fails the join" `Quick
+            test_fork_workers_fail_loudly;
         ] );
       ( "reporter",
         [

@@ -372,7 +372,7 @@ let small_durable_store dir =
   root
 
 let test_corrupt_tag_byte () =
-  Model_driver.with_temp_dir @@ fun dir ->
+  Fbremote.Procs.with_temp_dir @@ fun dir ->
   let (_ : Cid.t) = small_durable_store dir in
   let log = Filename.concat dir "chunks.log" in
   (* first record: 1-byte varint header, then the tag byte *)
@@ -397,7 +397,7 @@ let test_corrupt_tag_byte () =
   | vs -> Alcotest.fail ("expected Bad_store, got: " ^ violations_str vs)
 
 let test_corrupt_payload_byte () =
-  Model_driver.with_temp_dir @@ fun dir ->
+  Fbremote.Procs.with_temp_dir @@ fun dir ->
   let root = small_durable_store dir in
   let log = Filename.concat dir "chunks.log" in
   (match find_record log root with
@@ -420,7 +420,7 @@ let test_corrupt_payload_byte () =
     r.Fsck.violations
 
 let test_recovery_check_hook () =
-  Model_driver.with_temp_dir @@ fun dir ->
+  Fbremote.Procs.with_temp_dir @@ fun dir ->
   let root = small_durable_store dir in
   let verify db =
     let r = Fsck.check_db db in
@@ -446,7 +446,7 @@ let test_recovery_check_hook () =
 (* --- acceptance (ISSUE 3) ------------------------------------------- *)
 
 let test_acceptance () =
-  Model_driver.with_temp_dir @@ fun dir ->
+  Fbremote.Procs.with_temp_dir @@ fun dir ->
   let seed = 0x5EED_ACCE_97L in
   let fp = Failpoint.random ~seed:77L ~ops:100_000 ~put_fail:0.01 () in
   let reopen () = Persist.open_db ~cfg ~wrap_store:(Failpoint.store fp) dir in

@@ -9,20 +9,7 @@ module Log_store = Fbchunk.Log_store
 module Db = Forkbase.Db
 module Persist = Fbpersist.Persist
 module Journal = Fbpersist.Journal
-
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbpersist-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter
-      (fun f -> Sys.remove (Filename.concat dir f))
-      (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+module Procs = Fbremote.Procs
 
 (* Branch-table state of a db as a comparable value. *)
 let state_of db =
@@ -78,7 +65,7 @@ let workload db =
   v2
 
 let test_reopen_roundtrip () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let v2 = workload db in
@@ -105,7 +92,7 @@ let test_reopen_roundtrip () =
   Persist.close p3
 
 let test_checkpoint_and_reopen () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let (_ : Cid.t) = workload db in
@@ -125,7 +112,7 @@ let test_checkpoint_and_reopen () =
   Persist.close p2
 
 let test_compaction_reclaims_garbage () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   (* every version reachable from a head stays live (the derivation DAG
@@ -169,7 +156,7 @@ let test_compaction_reclaims_garbage () =
   Persist.close p2
 
 let test_missing_head_is_corruption () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -190,7 +177,7 @@ let test_missing_head_is_corruption () =
       Alcotest.fail "dangling head accepted"
 
 let test_garbled_journal_is_corruption () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -221,7 +208,7 @@ let copy_file src dst =
 (* Chunk log: appending [n] chunks then truncating anywhere inside the
    final record recovers exactly the first [n - 1] chunks. *)
 let test_log_store_torn_tail_every_offset () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let path = Filename.concat dir "chunks.log" in
   let chunk i = Chunk.v Chunk.Blob (Printf.sprintf "payload-%d-%s" i (String.make (50 + i) 'p')) in
   let log = Log_store.open_ path in
@@ -257,7 +244,7 @@ let test_log_store_torn_tail_every_offset () =
 (* Branch journal: truncating anywhere inside the final entry makes
    reopen recover exactly the state before the final operation. *)
 let test_journal_torn_tail_every_offset () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let (_ : Cid.t) = workload db in
@@ -293,7 +280,7 @@ let test_journal_torn_tail_every_offset () =
 let count_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 let test_failed_open_leaks_no_fds () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -321,7 +308,7 @@ let test_failed_open_leaks_no_fds () =
 (* --- regression: rename durability requires fsyncing the directory --- *)
 
 let test_rename_fsyncs_directory () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let db = Persist.db p in
   let (_ : Cid.t) = workload db in
@@ -362,7 +349,7 @@ let poisons =
   ]
 
 let test_log_store_bad_varint_is_corruption () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -384,7 +371,7 @@ let test_log_store_bad_varint_is_corruption () =
     poisons
 
 let test_journal_bad_varint_is_corruption () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db dir in
   let (_ : Cid.t) = Db.put (Persist.db p) ~key:"k" (Db.str "v") in
   Persist.close p;
@@ -409,7 +396,7 @@ let test_journal_bad_varint_is_corruption () =
    sync drains, clean close still recovers --- *)
 
 let test_deferred_sync () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let p = Persist.open_db ~journal_sync_every:1 dir in
   Persist.set_deferred_sync p true;
   let db = Persist.db p in
@@ -430,7 +417,7 @@ let test_deferred_sync () =
   Persist.close p2
 
 let test_db_level_sync_every () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   (* exposed knobs accepted and still safe on close *)
   let p = Persist.open_db ~sync_every:1 ~journal_sync_every:64 dir in
   let db = Persist.db p in

@@ -415,18 +415,7 @@ let test_stepping_clock_reaps () =
 (* --- group commit: batched acks over a durable store --- *)
 
 module Persist = Fbpersist.Persist
-
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbremote-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+module Procs = Fbremote.Procs
 
 let spawn_group_commit_server ~dir () =
   let listen_fd = Server.listen ~port:0 () in
@@ -449,7 +438,7 @@ let spawn_group_commit_server ~dir () =
       (port, pid)
 
 let test_group_commit () =
-  with_temp_dir @@ fun dir ->
+  Procs.with_temp_dir @@ fun dir ->
   let port, server_pid = spawn_group_commit_server ~dir () in
   let writers = 4 and puts_each = 25 in
   let pids =
@@ -498,6 +487,26 @@ let test_group_commit () =
   done;
   Persist.close p
 
+(* --- scratch directories: a nested tree never masks the body's failure --- *)
+
+let test_temp_dir_nested () =
+  let kept = ref "" in
+  (match
+     Procs.with_temp_dir (fun dir ->
+         kept := dir;
+         let sub = Filename.concat dir "a" in
+         Unix.mkdir sub 0o755;
+         Unix.mkdir (Filename.concat sub "b") 0o755;
+         Out_channel.with_open_bin (Filename.concat sub "f") (fun oc ->
+             output_string oc "x");
+         raise Exit)
+   with
+  | () -> Alcotest.fail "the body's exception must propagate"
+  | exception Exit -> ());
+  Alcotest.(check bool) "nested tree removed" false (Sys.file_exists !kept);
+  (* an absent path is not an error *)
+  Procs.rm_rf !kept
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "remote"
@@ -526,5 +535,10 @@ let () =
           Alcotest.test_case "stepping clock reaps" `Quick
             test_stepping_clock_reaps;
           Alcotest.test_case "group commit" `Quick test_group_commit;
+        ] );
+      ( "procs",
+        [
+          Alcotest.test_case "temp dir: nested tree, body failure kept"
+            `Quick test_temp_dir_nested;
         ] );
     ]

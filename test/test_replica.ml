@@ -14,7 +14,7 @@ module Client = Fbremote.Client
 module Replica = Fbreplica.Replica
 module Splitmix = Fbutil.Splitmix
 
-let with_temp_dir = Testnet.with_temp_dir
+let with_temp_dir = Fbremote.Procs.with_temp_dir
 let with_temp_dirs2 = Testnet.with_temp_dirs2
 
 let journal_path dir = Filename.concat dir "branches.journal"

@@ -16,27 +16,6 @@ module C = Fbcluster.Cluster
 module Db = Forkbase.Db
 module Fsck = Fbcheck.Fsck
 
-let with_temp_dirs n f =
-  let rec go acc = function
-    | 0 -> f (List.rev acc)
-    | n -> Testnet.with_temp_dir (fun d -> go (d :: acc) (n - 1))
-  in
-  go [] n
-
-(* Spawn [n] real shard processes over fresh store dirs; kill them all
-   on the way out (Procs.kill is idempotent, so tests that already
-   killed or quit a shard are fine). *)
-let with_cluster n f =
-  with_temp_dirs n (fun dirs ->
-      let procs, map = Shard.spawn_cluster ~dirs () in
-      Fun.protect
-        ~finally:(fun () -> List.iter Procs.kill procs)
-        (fun () -> f dirs procs map))
-
-let with_dispatcher map f =
-  let d = Dispatch.of_map map in
-  Fun.protect ~finally:(fun () -> Dispatch.close d) (fun () -> f d)
-
 (* A key owned by shard [i] under [map], for targeting specific shards. *)
 let key_owned_by map i =
   let rec go k =
@@ -69,7 +48,7 @@ let test_map_codec_roundtrip () =
   Alcotest.(check (list string)) "pending" map.Wire.pending decoded.Wire.pending
 
 let test_map_file_roundtrip () =
-  Testnet.with_temp_dir (fun dir ->
+  Procs.with_temp_dir (fun dir ->
       Alcotest.(check bool) "no map yet" true (Shard_map.load ~dir = None);
       let map =
         Shard_map.create ~version:3 [ ("127.0.0.1", 5000); ("127.0.0.1", 5001) ]
@@ -94,7 +73,7 @@ let test_map_parse_addrs () =
 (* --- ownership enforcement on real shards --- *)
 
 let test_ownership_redirect () =
-  with_cluster 2 (fun _dirs _procs map ->
+  Testnet.with_cluster 2 (fun _dirs _procs map ->
       let host, port = Shard_map.addr map 0 in
       let c = Client.connect ~host ~port () in
       Fun.protect
@@ -122,7 +101,7 @@ let test_ownership_redirect () =
               Alcotest.(check int) "redirect port" p1 p))
 
 let test_stale_map_rejected () =
-  with_cluster 2 (fun _dirs _procs map ->
+  Testnet.with_cluster 2 (fun _dirs _procs map ->
       let host, port = Shard_map.addr map 0 in
       let c = Client.connect ~host ~port () in
       Fun.protect
@@ -137,8 +116,8 @@ let test_stale_map_rejected () =
 (* --- dispatcher end to end --- *)
 
 let test_dispatcher_basic_ops () =
-  with_cluster 2 (fun _dirs _procs map ->
-      with_dispatcher map (fun d ->
+  Testnet.with_cluster 2 (fun _dirs _procs map ->
+      Testnet.with_dispatcher map (fun d ->
           let keys = List.init 40 (Printf.sprintf "key-%d") in
           List.iter
             (fun key ->
@@ -169,7 +148,7 @@ let test_dispatcher_basic_ops () =
           (* list_keys is the union over shards *)
           Alcotest.(check (list string))
             "all keys listed" (List.sort compare keys)
-            (Dispatch.list_keys d);
+            (Client.list_keys (Dispatch.client d));
           (* both shards hold some keys, and stats identify them *)
           let stats = Dispatch.stats d in
           Alcotest.(check int) "two shards" 2 (List.length stats);
@@ -185,8 +164,8 @@ let test_dispatcher_basic_ops () =
 
 let test_differential_sim_vs_real () =
   let n = 4 in
-  with_cluster n (fun _dirs _procs map ->
-      with_dispatcher map (fun d ->
+  Testnet.with_cluster n (fun _dirs _procs map ->
+      Testnet.with_dispatcher map (fun d ->
           let sim = C.create ~n C.Two_layer in
           let rng = Fbutil.Splitmix.create 77L in
           let heads_equal = ref 0 in
@@ -217,8 +196,8 @@ let test_differential_sim_vs_real () =
 (* --- crash / restart --- *)
 
 let test_shard_kill_restart () =
-  with_cluster 2 (fun dirs procs map ->
-      with_dispatcher map (fun d ->
+  Testnet.with_cluster 2 (fun dirs procs map ->
+      Testnet.with_dispatcher map (fun d ->
           let keys = List.init 20 (Printf.sprintf "key-%d") in
           List.iter
             (fun key ->
@@ -254,8 +233,8 @@ let test_shard_kill_restart () =
 (* --- live rebalance: fence / copy / lift --- *)
 
 let test_live_rebalance () =
-  with_cluster 2 (fun dirs procs map ->
-      with_dispatcher map (fun d ->
+  Testnet.with_cluster 2 (fun dirs procs map ->
+      Testnet.with_dispatcher map (fun d ->
           (* acked[key] is the oracle: the last value whose put returned.
              Anything acknowledged before, during, or after the rebalance
              must be readable afterwards — zero lost acknowledged
@@ -272,7 +251,7 @@ let test_live_rebalance () =
              [self] is outside the current map, so it owns nothing and
              serves nothing until the rebalance installs the grown
              map), then drive fence / copy / lift while writing *)
-          Testnet.with_temp_dir (fun dir2 ->
+          Procs.with_temp_dir (fun dir2 ->
               let extra = Shard.spawn ~dir:dir2 ~self:2 ~map () in
               Fun.protect
                 ~finally:(fun () -> Procs.kill extra)

@@ -28,14 +28,6 @@ let env_seconds () =
   | Some s -> float_of_string_opt s
   | None -> None
 
-let rec rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
 (* --- the chaos schedule --- *)
 
 let test_schedule_deterministic () =
@@ -144,11 +136,20 @@ let test_short_profile_full () =
     Alcotest.(check bool) "store faults actually fired" true
       (o.Soak.faults_injected > 0)
 
-(* --- the sharded profile: kills + live rebalance, zero lost acks --- *)
+(* --- the sharded profile: the three apps under kills + live rebalance --- *)
 
 let test_sharded_profile () =
-  let cfg = Soak.short_config ~seed:0x54A2DL ~ops:150 () in
-  let o = Soak.run_sharded ~shards:2 cfg in
+  let run () =
+    let buf = Buffer.create 512 in
+    let log l = Buffer.add_string buf (l ^ "\n") in
+    let o = Soak.run_sharded ~shards:2 (Soak.short_config ~seed:0x54A2DL ~ops:150 ~log ()) in
+    (Buffer.contents buf, o)
+  in
+  let log, o = run () in
+  let log2, o2 = run () in
+  Alcotest.(check string) "same seed, same log" log log2;
+  Alcotest.(check (list (pair string int)))
+    "same per-app op counts" o.Soak.ops_by_app o2.Soak.ops_by_app;
   Alcotest.(check int) "ran the requested ops" 150 o.Soak.ops_done;
   List.iter
     (fun kind ->
@@ -159,6 +160,14 @@ let test_sharded_profile () =
     [ "shard-kill"; "shard-add" ];
   Alcotest.(check bool) "inline checks ran" true (o.Soak.inline_checks > 0);
   Alcotest.(check bool) "quiesce verifies ran" true (o.Soak.full_verifies >= 2);
+  Alcotest.(check bool) "application models were diffed" true
+    (o.Soak.model_checks > 0);
+  List.iter
+    (fun app ->
+      let n = Option.value ~default:0 (List.assoc_opt app o.Soak.ops_by_app) in
+      Alcotest.(check bool) (Printf.sprintf "%s traffic ran (%d ops)" app n) true
+        (n > 0))
+    [ "kv"; "wiki"; "ledger" ];
   (* 2 seeded shards + 1 added live, all fsck'd after shutdown *)
   Alcotest.(check int) "every shard store fsck'd" 3 o.Soak.stores_fscked
 
@@ -173,7 +182,7 @@ let test_sabotage_fails_with_report () =
   | (_ : Soak.outcome) ->
       Alcotest.fail "a corrupted store must not pass the soak"
   | exception Soak.Soak_failed f ->
-      Fun.protect ~finally:(fun () -> rm_rf f.Soak.f_scratch) @@ fun () ->
+      Fun.protect ~finally:(fun () -> Fbremote.Procs.rm_rf f.Soak.f_scratch) @@ fun () ->
       Alcotest.(check int64) "report carries the seed" 0x5AB07A6EL f.Soak.f_seed;
       Alcotest.(check bool) "violations are detailed" true
         (f.Soak.f_detail <> []);

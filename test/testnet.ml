@@ -1,5 +1,5 @@
 (* Shared plumbing for the socket suites (test_remote, test_replica,
-   test_soak): temp store directories plus child-process servers on
+   test_shard, test_handle): child-process servers and shard clusters on
    kernel-assigned ephemeral ports.  The port discipline lives in
    Fbremote.Procs — bind port 0 in the parent, read the real port back,
    then fork — so concurrent test binaries never collide on a fixed
@@ -9,20 +9,8 @@ module Procs = Fbremote.Procs
 module Proc = Fbreplica.Proc
 module Server = Fbremote.Server
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fbtestnet-%d-%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  let rm_rf dir =
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
-
 let with_temp_dirs2 f =
-  with_temp_dir (fun a -> with_temp_dir (fun b -> f a b))
+  Procs.with_temp_dir (fun a -> Procs.with_temp_dir (fun b -> f a b))
 
 let with_proc t f =
   Fun.protect ~finally:(fun () -> Procs.kill t) (fun () -> f (Procs.port t))
@@ -46,3 +34,24 @@ let with_follower_server ~fdir ~primary_port f =
   with_proc
     (Proc.spawn_follower ~dir:fdir ~host:"127.0.0.1" ~primary_port ())
     f
+
+let with_temp_dirs n f =
+  let rec go acc = function
+    | 0 -> f (List.rev acc)
+    | n -> Procs.with_temp_dir (fun d -> go (d :: acc) (n - 1))
+  in
+  go [] n
+
+(* Spawn [n] real shard processes over fresh store dirs; kill them all
+   on the way out (Procs.kill is idempotent, so tests that already
+   killed or quit a shard are fine). *)
+let with_cluster n f =
+  with_temp_dirs n (fun dirs ->
+      let procs, map = Fbshard.Shard.spawn_cluster ~dirs () in
+      Fun.protect
+        ~finally:(fun () -> List.iter Procs.kill procs)
+        (fun () -> f dirs procs map))
+
+let with_dispatcher map f =
+  let d = Fbshard.Dispatch.of_map map in
+  Fun.protect ~finally:(fun () -> Fbshard.Dispatch.close d) (fun () -> f d)
