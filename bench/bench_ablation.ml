@@ -2,7 +2,8 @@
    - content-defined vs fixed-size chunking (the boundary-shifting problem),
    - the rolling-hash family used for pattern P,
    - expected chunk size (storage overhead vs update cost),
-   - content-based chunking vs delta chains (§2.1's two dedup families). *)
+   - content-based chunking vs delta chains (§2.1's two dedup families),
+   - copy-on-write blob puts: a full rebuild vs a rebase onto the head. *)
 
 module Store = Fbchunk.Chunk_store
 module Fblob = Fbtypes.Fblob
@@ -215,3 +216,68 @@ let ablation_delta scale =
     (pos_time /. float_of_int reads *. 1000.0)
     (delta_time /. float_of_int reads *. 1000.0)
     (Deltastore.Delta_store.replay_steps delta)
+
+(* Ablation E: a served blob put carries the whole new page.  The full
+   build re-chunks and re-hashes every byte; the rebase onto the branch
+   head (what the server does) re-chunks only around the edit and reuses
+   the other leaves by reference.  Both give the same root, so the counts
+   below are pure wasted work: chunk-store puts and bytes hashed per put
+   (every put hashes its chunk, dedup hit or not). *)
+let ablation_cow _scale =
+  Bench_util.section "Ablation: blob put, full build vs rebase onto the head";
+  let cfg = Fbtree.Tree_config.default in
+  let page = Workload.Text_edit.initial_page ~seed:14L ~size:(32 * 1024) in
+  let edits = 50 in
+  let versions =
+    let rng = Fbutil.Splitmix.create 15L in
+    let content = ref page in
+    List.init edits (fun _ ->
+        content :=
+          Workload.Text_edit.apply !content
+            (Workload.Text_edit.random_edit rng ~page_len:(String.length !content)
+               ~update_ratio:0.9 ~edit_size:100);
+        !content)
+  in
+  (* Count every put and the bytes it hashes. *)
+  let counting_store () =
+    let inner = Store.mem_store () in
+    let puts = ref 0 and hashed = ref 0 in
+    let put chunk =
+      incr puts;
+      hashed := !hashed + Fbchunk.Chunk.byte_size chunk;
+      inner.Store.put chunk
+    in
+    ({ inner with Store.put }, puts, hashed)
+  in
+  (* Replay the history from [page]; per-put counts and every root. *)
+  let replay update =
+    let store, puts, hashed = counting_store () in
+    let head = ref (Fblob.create store cfg page) in
+    puts := 0;
+    hashed := 0;
+    let roots =
+      List.map
+        (fun v ->
+          head := update store !head v;
+          Fblob.root !head)
+        versions
+    in
+    let per n = float_of_int n /. float_of_int edits in
+    (per !puts, per !hashed, roots)
+  in
+  let _, _, full_roots as full = replay (fun store _ v -> Fblob.create store cfg v) in
+  let rebase = replay (fun _ head v -> Fblob.rebase head v) in
+  Bench_util.row_header [ "put"; "puts/put"; "bytes-hashed/put"; "same-roots" ];
+  List.iter
+    (fun (label, (puts, hashed, roots)) ->
+      Bench_json.metric ~name:(label ^ "_puts_per_put") ~value:puts ~unit:"count";
+      Bench_json.metric ~name:(label ^ "_bytes_hashed_per_put") ~value:hashed
+        ~unit:"bytes";
+      Bench_util.row
+        [
+          label;
+          Printf.sprintf "%.1f" puts;
+          Printf.sprintf "%.0f" hashed;
+          string_of_bool (List.for_all2 Fbchunk.Cid.equal roots full_roots);
+        ])
+    [ ("full-build", full); ("rebase", rebase) ]

@@ -35,6 +35,8 @@ let experiments :
      Bench_ablation.ablation_chunk_size);
     ("ablation-delta", "ablation", "POS-Tree vs delta chains",
      Bench_ablation.ablation_delta);
+    ("ablation-cow", "ablation", "blob put: full build vs rebase",
+     Bench_ablation.ablation_cow);
     ("durability", "persist", "journaled puts, recovery, compaction",
      Bench_persist.durability);
     ("remote", "remote", "multi-client serving throughput", Bench_remote.remote);

@@ -38,15 +38,16 @@ let init () =
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
-let compress ctx =
+(* Compress the 64-byte block at [b.[off]] (the caller checks bounds). *)
+let compress ctx (b : string) off =
   let w = ctx.w in
-  let b = ctx.block in
   for i = 0 to 15 do
+    let j = off + (4 * i) in
     w.(i) <-
-      (Char.code (Bytes.unsafe_get b (4 * i)) lsl 24)
-      lor (Char.code (Bytes.unsafe_get b ((4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get b ((4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get b ((4 * i) + 3))
+      (Char.code (String.unsafe_get b j) lsl 24)
+      lor (Char.code (String.unsafe_get b (j + 1)) lsl 16)
+      lor (Char.code (String.unsafe_get b (j + 2)) lsl 8)
+      lor Char.code (String.unsafe_get b (j + 3))
   done;
   for i = 16 to 63 do
     let s0 =
@@ -96,38 +97,45 @@ let compress ctx =
   h.(6) <- (h.(6) + !g) land mask32;
   h.(7) <- (h.(7) + !hh) land mask32
 
-let feed_sub ctx blit src off len =
+(* The block buffer viewed as a string; [compress] only reads it. *)
+let compress_block ctx = compress ctx (Bytes.unsafe_to_string ctx.block) 0
+
+(* Full blocks are compressed straight from [src]; only a partial head or
+   tail goes through [ctx.block]. *)
+let feed_sub ctx src off len =
+  if off < 0 || len < 0 || off > String.length src - len then
+    invalid_arg "Sha256.feed: range out of bounds";
   ctx.total <- ctx.total + len;
   let off = ref off and len = ref len in
   if ctx.fill > 0 then begin
     let take = min !len (64 - ctx.fill) in
-    blit src !off ctx.block ctx.fill take;
+    Bytes.blit_string src !off ctx.block ctx.fill take;
     ctx.fill <- ctx.fill + take;
     off := !off + take;
     len := !len - take;
     if ctx.fill = 64 then begin
-      compress ctx;
+      compress_block ctx;
       ctx.fill <- 0
     end
   end;
   while !len >= 64 do
-    blit src !off ctx.block 0 64;
-    compress ctx;
+    compress ctx src !off;
     off := !off + 64;
     len := !len - 64
   done;
   if !len > 0 then begin
-    blit src !off ctx.block 0 !len;
+    Bytes.blit_string src !off ctx.block 0 !len;
     ctx.fill <- !len
   end
 
 let feed_string ctx ?(off = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - off in
-  feed_sub ctx Bytes.blit_string s off len
+  feed_sub ctx s off len
 
+(* [feed_sub] reads [b] only for the duration of the call. *)
 let feed_bytes ctx ?(off = 0) ?len b =
   let len = match len with Some l -> l | None -> Bytes.length b - off in
-  feed_sub ctx Bytes.blit b off len
+  feed_sub ctx (Bytes.unsafe_to_string b) off len
 
 let finalize ctx =
   let total_bits = ctx.total * 8 in
@@ -136,7 +144,7 @@ let finalize ctx =
   let fill = ctx.fill + 1 in
   if fill > 56 then begin
     Bytes.fill ctx.block fill (64 - fill) '\000';
-    compress ctx;
+    compress_block ctx;
     Bytes.fill ctx.block 0 56 '\000'
   end
   else Bytes.fill ctx.block fill (56 - fill) '\000';
@@ -144,7 +152,7 @@ let finalize ctx =
     Bytes.set ctx.block (56 + i)
       (Char.chr ((total_bits lsr (8 * (7 - i))) land 0xff))
   done;
-  compress ctx;
+  compress_block ctx;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     let v = ctx.h.(i) in

@@ -245,41 +245,76 @@ module Make (E : ELEM) = struct
   let of_list store cfg l = of_elements store cfg (List.to_seq l)
   let empty store cfg = of_list store cfg []
 
-  (* Bulk byte-stream build: boundaries found by [find_boundary] are
+  (* ------------------------------------------------------------------ *)
+  (* Byte streams (Blob): every element encodes to exactly one payload
+     byte.  One cutter serves the bulk build, the byte splice and rebase.
+     It finds boundaries with [find_boundary] over whole segments, which is
      byte-for-byte identical to feeding single-byte elements through
-     [lb_add], but leaves are cut as substrings instead of element by
-     element. *)
-  let of_bytes store cfg s =
+     [lb_add], and cuts leaves as substrings. *)
+
+  type byte_cutter = {
+    bc_store : Store.t;
+    bc_cfg : Tree_config.t;
+    bc_mask : int;
+    bc_roll : Rolling.any;
+    bc_body : Buffer.t; (* bytes of the open leaf *)
+    mutable bc_out : chunk_ref list; (* emitted leaves, reversed *)
+  }
+
+  let byte_cutter store cfg =
+    {
+      bc_store = store;
+      bc_cfg = cfg;
+      bc_mask = (1 lsl cfg.Tree_config.leaf_bits) - 1;
+      bc_roll = Rolling.any cfg.Tree_config.rolling ~window:cfg.Tree_config.window;
+      bc_body = Buffer.create 256;
+      bc_out = [];
+    }
+
+  (* Close the open leaf with [s.[off .. off+len)] as its last bytes. *)
+  let bc_cut b s ~off ~len =
+    let count = Buffer.length b.bc_body + len in
+    let payload = Buffer.create (count + 4) in
+    Codec.varint payload count;
+    Buffer.add_buffer payload b.bc_body;
+    Buffer.add_substring payload s off len;
+    let cid = b.bc_store.Store.put (Chunk.v E.leaf_tag (Buffer.contents payload)) in
+    b.bc_out <- { cid; count; span = count; last_key = "" } :: b.bc_out;
+    Buffer.clear b.bc_body;
+    Rolling.any_reset b.bc_roll
+
+  (* Feed [s] from [off] to its end.  Returns [true] when the cutter is
+     empty afterwards, i.e. a boundary fell exactly on the last byte. *)
+  let bc_feed b s ~off =
     let n = String.length s in
-    let out = ref [] in
-    let roll = Rolling.any cfg.Tree_config.rolling ~window:cfg.Tree_config.window in
-    let mask = (1 lsl cfg.Tree_config.leaf_bits) - 1 in
-    let emit_leaf start stop =
-      let len = stop - start in
-      let payload = Buffer.create (len + 4) in
-      Codec.varint payload len;
-      Buffer.add_substring payload s start len;
-      let chunk = Chunk.v E.leaf_tag (Buffer.contents payload) in
-      let cid = store.Store.put chunk in
-      out := { cid; count = len; span = len; last_key = "" } :: !out
-    in
-    let off = ref 0 in
+    let off = ref off in
     while !off < n do
       match
-        Rolling.any_find_boundary roll s ~off:!off ~chunk_size_before:0
-          ~min_size:cfg.Tree_config.min_leaf_bytes
-          ~max_size:cfg.Tree_config.max_leaf_bytes ~mask
+        Rolling.any_find_boundary b.bc_roll s ~off:!off
+          ~chunk_size_before:(Buffer.length b.bc_body)
+          ~min_size:b.bc_cfg.Tree_config.min_leaf_bytes
+          ~max_size:b.bc_cfg.Tree_config.max_leaf_bytes ~mask:b.bc_mask
       with
       | Some consumed ->
-          emit_leaf !off (!off + consumed);
-          off := !off + consumed;
-          Rolling.any_reset roll
+          bc_cut b s ~off:!off ~len:consumed;
+          off := !off + consumed
       | None ->
-          emit_leaf !off n;
+          Buffer.add_substring b.bc_body s !off (n - !off);
           off := n
     done;
+    Buffer.length b.bc_body = 0
+
+  (* Cut the residual leaf forced by the end of the stream; returns every
+     leaf emitted, in order. *)
+  let bc_finish b =
+    if Buffer.length b.bc_body > 0 then bc_cut b "" ~off:0 ~len:0;
+    List.rev b.bc_out
+
+  let of_bytes store cfg s =
+    let b = byte_cutter store cfg in
+    ignore (bc_feed b s ~off:0 : bool);
     let leaves =
-      match List.rev !out with
+      match bc_finish b with
       | [] -> [| empty_leaf_ref store |]
       | refs -> Array.of_list refs
     in
@@ -426,6 +461,13 @@ module Make (E : ELEM) = struct
     iter_slice t ~pos ~len (fun e -> out := e :: !out);
     List.rev !out
 
+  (* Raw payload of leaf [i] and the offset of its first element byte. *)
+  let leaf_payload t i =
+    let payload = (Store.get_exn t.store t.levels.(0).(i).cid).Chunk.payload in
+    let r = Codec.reader payload in
+    ignore (Codec.read_varint r : int);
+    (payload, Codec.pos r)
+
   let iter_leaf_payloads t ~pos ~len f =
     if pos < 0 || len < 0 || pos + len > length t then
       invalid_arg "Pos_tree.iter_leaf_payloads: out of bounds";
@@ -434,13 +476,9 @@ module Make (E : ELEM) = struct
       let first = leaf_of_pos t pos in
       let remaining = ref len and p = ref pos and i = ref first in
       while !remaining > 0 do
-        let chunk = Store.get_exn t.store t.levels.(0).(!i).cid in
-        let payload = chunk.Chunk.payload in
-        let r = Codec.reader payload in
-        let count = Codec.read_varint r in
-        let header = Codec.pos r in
+        let payload, header = leaf_payload t !i in
         let off = !p - cum.(!i) in
-        let take = min !remaining (count - off) in
+        let take = min !remaining (t.levels.(0).(!i).count - off) in
         f payload ~off:(header + off) ~take;
         remaining := !remaining - take;
         p := !p + take;
@@ -650,6 +688,109 @@ module Make (E : ELEM) = struct
     done;
     let levels = Array.of_list (List.rev !levels_rev) in
     of_levels t.store t.cfg levels
+
+  (* Byte splice: re-chunk from the start of the leaf holding [pos] (the
+     residual last leaf for an append) through the insert, then pull old
+     bytes leaf by leaf until a cut lands on an old leaf boundary; every
+     leaf from there on is reused by reference.  Work is O(edit + leaf)
+     bytes whatever the blob's size. *)
+  let splice_bytes t ~pos ~del ~ins =
+    let total = length t in
+    if pos < 0 || del < 0 || pos + del > total then
+      invalid_arg "Pos_tree.splice_bytes: out of bounds";
+    if del = 0 && ins = "" then t
+    else if total = 0 || (del = total && ins = "") then
+      of_bytes t.store t.cfg ins
+    else begin
+      let old = t.levels.(0) in
+      let n = Array.length old in
+      let cum = Lazy.force t.cum in
+      let first = leaf_of_pos t (min pos (total - 1)) in
+      let b = byte_cutter t.store t.cfg in
+      let payload, header = leaf_payload t first in
+      ignore (bc_feed b (String.sub payload header (pos - cum.(first))) ~off:0 : bool);
+      let at_cut = ref (bc_feed b ins ~off:0) in
+      let resume = pos + del in
+      let k = ref (if resume = total then n else leaf_of_pos t resume) in
+      let off = ref (resume - cum.(!k)) in
+      while !k < n && not (!at_cut && !off = 0) do
+        let payload, header = leaf_payload t !k in
+        at_cut := bc_feed b payload ~off:(header + !off);
+        off := 0;
+        incr k
+      done;
+      let fresh = Array.of_list (bc_finish b) in
+      let kept = n - !k and nf = Array.length fresh in
+      let leaves =
+        Array.concat [ Array.sub old 0 first; fresh; Array.sub old !k kept ]
+      in
+      let anchors =
+        List.init first (fun i -> (i, i))
+        @ List.init kept (fun m -> (!k + m, first + nf + m))
+      in
+      rebuild_levels t (leaves, anchors)
+    end
+
+  (* Number of equal bytes at the front of [a.[ai .. ai+len)] and
+     [b.[bi .. bi+len)] ([~back:false]), or at their back; compared a
+     word at a time. *)
+  let matching ~back a ai b bi len =
+    let at k w = if back then len - k - w else k in
+    let k = ref 0 in
+    while
+      !k + 8 <= len
+      && Int64.equal
+           (String.get_int64_ne a (ai + at !k 8))
+           (String.get_int64_ne b (bi + at !k 8))
+    do
+      k := !k + 8
+    done;
+    while !k < len && a.[ai + at !k 1] = b.[bi + at !k 1] do
+      incr k
+    done;
+    !k
+
+  (* Rebase a byte tree onto new content: old and new share a common
+     prefix and suffix, compared against the old leaf payloads in place,
+     and only the middle is spliced. *)
+  let rebase_bytes t s =
+    let total = length t and n = String.length s in
+    if total = 0 && n = 0 then t
+    else if total = 0 || n = 0 then of_bytes t.store t.cfg s
+    else begin
+      let leaves = t.levels.(0) in
+      let limit = min total n in
+      (* Common prefix, leaf by leaf from the front. *)
+      let p = ref 0 and i = ref 0 and diverged = ref false in
+      while (not !diverged) && !p < limit do
+        let payload, header = leaf_payload t !i in
+        let len = min leaves.(!i).count (limit - !p) in
+        let m = matching ~back:false payload header s !p len in
+        p := !p + m;
+        diverged := m < len;
+        incr i
+      done;
+      if !p = total && !p = n then t
+      else begin
+        (* Common suffix, leaf by leaf from the back, not overlapping the
+           prefix on either side. *)
+        let limit = limit - !p in
+        let q = ref 0 and i = ref (Array.length leaves - 1) and diverged = ref false in
+        while (not !diverged) && !q < limit do
+          let payload, header = leaf_payload t !i in
+          let count = leaves.(!i).count in
+          let len = min count (limit - !q) in
+          let m =
+            matching ~back:true payload (header + count - len) s (n - !q - len) len
+          in
+          q := !q + m;
+          diverged := m < len;
+          decr i
+        done;
+        splice_bytes t ~pos:!p ~del:(total - !p - !q)
+          ~ins:(String.sub s !p (n - !p - !q))
+      end
+    end
 
   let validate_edits t edits =
     let total = length t in

@@ -112,6 +112,26 @@ module Make (E : ELEM) : sig
 
   val append : t -> elem list -> t
 
+  (** {1 Byte-stream updates (Blob)}
+
+      Like {!of_bytes}, these are only valid when every element encodes to
+      exactly one payload byte.  Both produce exactly the tree {!of_bytes}
+      builds from the resulting content. *)
+
+  val splice_bytes : t -> pos:int -> del:int -> ins:string -> t
+  (** {!splice} on a byte stream: re-chunks from the leaf holding [pos]
+      until a cut lands on an old leaf boundary, then reuses the old leaves
+      by reference, so the bytes rolled and hashed are O(edit + leaf)
+      whatever the tree's size.
+      @raise Invalid_argument when the range is out of bounds. *)
+
+  val rebase_bytes : t -> string -> t
+  (** [rebase_bytes t s] is [of_bytes] of [s], built copy-on-write against
+      [t]: the common prefix and suffix of the old and new bytes are found
+      by comparing the old leaf payloads in place, and only the middle is
+      spliced.  Returns [t] itself, with no store writes, when [s] equals
+      its content; an empty [t] or [s] takes the full build. *)
+
   (** {1 Sorted access (Map / Set containers)} *)
 
   val find : t -> string -> elem option

@@ -22,9 +22,19 @@ let to_wire_value value =
   | Value.Map m -> Wire.Map (Fbtypes.Fmap.bindings m)
   | Value.Set s -> Wire.Set (Fbtypes.Fset.elements s)
 
-let of_wire_value db = function
+(* The value a Put stores.  A blob put onto a branch whose head is a blob
+   is rebased onto that head: only the chunks around the changed bytes are
+   re-chunked and hashed, and the tree is the one [Db.blob] would build.
+   A new key or branch, a head of another type, or a head whose chunks
+   cannot be read takes the full build. *)
+let put_value db ~key ~branch = function
   | Wire.Str s -> Db.str s
-  | Wire.Blob b -> Db.blob db b
+  | Wire.Blob s -> (
+      try
+        match Db.get ~branch db ~key with
+        | Ok (Value.Blob head) -> Value.Blob (Fbtypes.Fblob.rebase head s)
+        | Ok _ | Error _ -> Db.blob db s
+      with Fbchunk.Chunk_store.(Missing_chunk _ | Corrupt_chunk _) -> Db.blob db s)
   | Wire.List l -> Db.list db l
   | Wire.Map kvs -> Db.map db kvs
   | Wire.Set ms -> Db.set db ms
@@ -142,7 +152,7 @@ let handle ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
   | Wire.Put { key; branch; context; value } ->
       owned key @@ fun () ->
       write @@ fun () ->
-      Wire.Uid (Db.put ~branch ~context db ~key (of_wire_value db value))
+      Wire.Uid (Db.put ~branch ~context db ~key (put_value db ~key ~branch value))
   | Wire.Get { key; branch } ->
       owned key @@ fun () ->
       of_db_result (fun v -> Wire.Value (to_wire_value v)) (Db.get ~branch db ~key)

@@ -30,8 +30,8 @@ let read t ~pos ~len =
 
 let to_string t = read t ~pos:0 ~len:(length t)
 
-let splice t ~pos ~del ~ins =
-  T.splice t ~pos ~del ~ins:(List.of_seq (String.to_seq ins))
+let splice = T.splice_bytes
+let rebase = T.rebase_bytes
 
 let append t s = splice t ~pos:(length t) ~del:0 ~ins:s
 let insert t ~pos s = splice t ~pos ~del:0 ~ins:s

@@ -9,6 +9,14 @@ type t
 
 val create : Fbchunk.Chunk_store.t -> Fbtree.Tree_config.t -> string -> t
 val empty : Fbchunk.Chunk_store.t -> Fbtree.Tree_config.t -> t
+
+val rebase : t -> string -> t
+(** [rebase t s] is a blob holding [s] — the same tree, root cid and
+    chunks as {!create} would build — written copy-on-write against [t]:
+    only the leaves around the bytes that differ from [t] are re-chunked
+    and hashed; the rest are reused by reference.  Returns [t] unchanged
+    when [s] equals its content.  Lives in [t]'s store and configuration. *)
+
 val of_root : Fbchunk.Chunk_store.t -> Fbtree.Tree_config.t -> Fbchunk.Cid.t -> t
 val root : t -> Fbchunk.Cid.t
 val length : t -> int
@@ -26,6 +34,7 @@ val overwrite : t -> pos:int -> string -> t
 (** In-place update of [String.length] bytes at [pos]. *)
 
 val splice : t -> pos:int -> del:int -> ins:string -> t
+(** Re-chunks O(edit + leaf) bytes, whatever the blob's size. *)
 
 val diff_region : t -> t -> ((int * int) * (int * int)) option
 (** Coarse structural diff via shared chunks; [None] when equal. *)

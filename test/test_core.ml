@@ -291,6 +291,45 @@ let test_merge_blob_disjoint () =
         && String.sub merged (String.length merged - 8) 8 = "__DEVDEV")
   | v -> Alcotest.fail (Value.describe v)
 
+(* The wiki pattern: master edits the lower half of a 32 KB page, the draft
+   the upper half.  The merge splices both regions into the base, and the
+   result must be exactly the tree a fresh build of the expected bytes
+   gives. *)
+let test_merge_blob_wiki_halves () =
+  let module Text_edit = Workload.Text_edit in
+  let page = Text_edit.initial_page ~seed:21L ~size:(32 * 1024) in
+  let half = String.length page / 2 in
+  let rng = Fbutil.Splitmix.create 22L in
+  (* A 100 B overwrite or insert somewhere in [lo, lo + half - 100). *)
+  let edit lo =
+    let pos = lo + Fbutil.Splitmix.int rng (half - 100) in
+    let text = Text_edit.initial_page ~seed:(Int64.of_int pos) ~size:100 in
+    if Fbutil.Splitmix.int rng 2 = 0 then Text_edit.Overwrite (pos, text)
+    else Text_edit.Insert (pos, text)
+  in
+  for round = 1 to 8 do
+    let db = fresh () in
+    let key = Printf.sprintf "page%d" round in
+    let (_ : Cid.t) = Db.put db ~key (Db.blob db page) in
+    ok (Db.fork db ~key ~from_branch:"master" ~new_branch:"draft");
+    let lower = edit 0 and upper = edit half in
+    let (_ : Cid.t) = Db.put db ~key (Db.blob db (Text_edit.apply page lower)) in
+    let (_ : Cid.t) =
+      Db.put ~branch:"draft" db ~key (Db.blob db (Text_edit.apply page upper))
+    in
+    let (_ : Cid.t) = ok (Db.merge db ~key ~target:"master" ~ref_:(`Branch "draft")) in
+    (* The upper edit first, so the lower one's position still holds. *)
+    let expected = Text_edit.apply (Text_edit.apply page upper) lower in
+    match ok (Db.get db ~key) with
+    | Value.Blob b ->
+        Alcotest.(check string)
+          (Printf.sprintf "round %d: merged root = fresh build" round)
+          (Cid.to_hex
+             (Fbtypes.Fblob.root (Fbtypes.Fblob.create (Store.mem_store ()) (Db.cfg db) expected)))
+          (Cid.to_hex (Fbtypes.Fblob.root b))
+    | v -> Alcotest.fail (Value.describe v)
+  done
+
 let test_merge_type_mismatch () =
   let db = fresh () in
   let (_ : Cid.t) = Db.put db ~key:"k" (Db.str "s") in
@@ -444,6 +483,8 @@ let () =
             test_merge_conflict_and_resolvers;
           Alcotest.test_case "aggregate" `Quick test_merge_aggregate;
           Alcotest.test_case "blob disjoint regions" `Quick test_merge_blob_disjoint;
+          Alcotest.test_case "blob halves = fresh build" `Quick
+            test_merge_blob_wiki_halves;
           Alcotest.test_case "type mismatch" `Quick test_merge_type_mismatch;
         ] );
       ( "merge-properties",

@@ -80,6 +80,71 @@ let test_dispatcher_handle () =
       Alcotest.(check string) "typed refusal"
         "checkpoint: not routable through the dispatcher" msg
 
+(* --- served blob puts rebase onto the branch head --- *)
+
+module Db = Forkbase.Db
+
+let page = Workload.Text_edit.initial_page ~seed:7L ~size:(32 * 1024)
+
+(* [s] with 100 bytes at [pos] overwritten by other text. *)
+let edited s pos =
+  Workload.Text_edit.apply s
+    (Workload.Text_edit.Overwrite
+       (pos, Workload.Text_edit.initial_page ~seed:8L ~size:100))
+
+(* One served put; its uid and the chunk-store puts it cost. *)
+let put_counted c ?branch key v =
+  let before = (Client.stats c).Wire.puts in
+  let uid = Client.put ?branch c ~key v in
+  (uid, (Client.stats c).Wire.puts - before)
+
+let test_served_blob_rebase () =
+  let c = Client.local (Db.create (Fbchunk.Chunk_store.mem_store ())) in
+  (* The same history through the embedded API, every blob a full build. *)
+  let full = Db.create (Fbchunk.Chunk_store.mem_store ()) in
+  let full_put ?branch key v = Db.put ?branch full ~key v in
+  let same_uid what served expected =
+    Alcotest.(check string) (what ^ ": uid equals the full build's")
+      (Fbchunk.Cid.to_hex expected) (Fbchunk.Cid.to_hex served)
+  in
+  let reads_back ?branch key v =
+    Alcotest.(check bool) (key ^ " reads back exactly") true
+      (Client.get ?branch c ~key = Wire.Blob v)
+  in
+  (* A new key: full build, one put per chunk plus the meta chunk. *)
+  let uid, puts = put_counted c "page" (Wire.Blob page) in
+  same_uid "first put" uid (full_put "page" (Db.blob full page));
+  let chunks = Fbtypes.Fblob.chunk_count (Fbtypes.Fblob.create (Fbchunk.Chunk_store.mem_store ()) Fbtree.Tree_config.default page) in
+  Alcotest.(check int) "a new key takes the full build" (chunks + 1) puts;
+  (* A 100 B overwrite rebases onto the head. *)
+  let v2 = edited page 16_000 in
+  let uid, puts = put_counted c "page" (Wire.Blob v2) in
+  same_uid "100 B edit" uid (full_put "page" (Db.blob full v2));
+  Alcotest.(check bool) (Printf.sprintf "100 B edit: %d puts <= 3" puts) true (puts <= 3);
+  reads_back "page" v2;
+  (* A string head, then a blob: the fallback full build. *)
+  let uid = Client.put c ~key:"note" (Wire.Str "short") in
+  same_uid "string head" uid (full_put "note" (Db.str "short"));
+  let uid, puts = put_counted c "note" (Wire.Blob page) in
+  same_uid "blob over a string" uid (full_put "note" (Db.blob full page));
+  Alcotest.(check int) "a string head takes the full build" (chunks + 1) puts;
+  reads_back "note" page;
+  (* A freshly forked branch rebases onto the fork's head. *)
+  Client.fork c ~key:"page" ~from_branch:"master" ~new_branch:"draft";
+  (match Db.fork full ~key:"page" ~from_branch:"master" ~new_branch:"draft" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Db.error_to_string e));
+  let v3 = edited v2 30_000 in
+  let uid, puts = put_counted c ~branch:"draft" "page" (Wire.Blob v3) in
+  same_uid "put on a fork" uid (full_put ~branch:"draft" "page" (Db.blob full v3));
+  Alcotest.(check bool) (Printf.sprintf "put on a fork: %d puts <= 3" puts) true (puts <= 3);
+  reads_back ~branch:"draft" "page" v3;
+  reads_back "page" v2;
+  (* Putting the head's own bytes again writes only the new meta chunk. *)
+  let uid, puts = put_counted c ~branch:"draft" "page" (Wire.Blob v3) in
+  same_uid "unchanged put" uid (full_put ~branch:"draft" "page" (Db.blob full v3));
+  Alcotest.(check int) "unchanged put: meta chunk only" 1 puts
+
 (* --- the CLI over the handle --- *)
 
 let cli = "../bin/forkbase_cli.exe"
@@ -121,6 +186,11 @@ let () =
             test_same_workload_three_transports;
           Alcotest.test_case "dispatcher: key union, unroutable refused" `Quick
             test_dispatcher_handle;
+        ] );
+      ( "blob put",
+        [
+          Alcotest.test_case "rebases onto the branch head" `Quick
+            test_served_blob_rebase;
         ] );
       ( "cli",
         [

@@ -60,6 +60,28 @@ let qcheck_incremental =
       Fbhash.Sha256.feed_string ctx ~off:k s;
       Fbhash.Sha256.finalize ctx = Fbhash.Sha256.digest s)
 
+(* Every split offset 0..130 over every input length up to 300 bytes: the
+   split lands in the buffered head, on a block edge, or leaves whole
+   blocks to compress straight from the source. *)
+let test_split_feeds () =
+  for n = 0 to 300 do
+    let s = String.init n (fun i -> Char.chr ((i * 37 + n) land 0xff)) in
+    let want = Fbhash.Sha256.digest s in
+    for k = 0 to min 130 n do
+      let ctx = Fbhash.Sha256.init () in
+      Fbhash.Sha256.feed_string ctx ~len:k s;
+      Fbhash.Sha256.feed_string ctx ~off:k s;
+      if Fbhash.Sha256.finalize ctx <> want then
+        Alcotest.failf "string feed split at %d of %d" k n;
+      let ctx = Fbhash.Sha256.init () in
+      let b = Bytes.of_string s in
+      Fbhash.Sha256.feed_bytes ctx ~len:k b;
+      Fbhash.Sha256.feed_bytes ctx ~off:k b;
+      if Fbhash.Sha256.finalize ctx <> want then
+        Alcotest.failf "bytes feed split at %d of %d" k n
+    done
+  done
+
 let qcheck_bytes_feed =
   QCheck.Test.make ~name:"sha256 feed_bytes agrees with feed_string" ~count:100
     QCheck.string (fun s ->
@@ -199,6 +221,7 @@ let () =
           Alcotest.test_case "one million a's" `Slow test_million_a;
           Alcotest.test_case "padding boundaries" `Quick test_long_padding_boundaries;
           Alcotest.test_case "feed with offsets" `Quick test_feed_offsets;
+          Alcotest.test_case "split feeds = one-shot digest" `Quick test_split_feeds;
           q qcheck_incremental;
           q qcheck_bytes_feed;
         ] );

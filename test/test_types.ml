@@ -71,16 +71,27 @@ let test_blob_paper_example () =
   let b = Fblob.append b "some more" in
   Alcotest.(check string) "edited" "my valuesome more" (Fblob.to_string b)
 
+(* Blob's element, fed one byte at a time through the generic chunker. *)
+module Byte_tree = Fbtree.Pos_tree.Make (struct
+  type t = char
+
+  let encode = Buffer.add_char
+  let decode = Fbutil.Codec.read_byte
+  let key _ = ""
+  let sorted = false
+  let leaf_tag = Fbchunk.Chunk.Blob
+  let index_tag = Fbchunk.Chunk.UIndex
+end)
+
 let qcheck_blob_bulk_build =
   QCheck.Test.make ~name:"blob bulk build = per-byte build (same root)" ~count:60
     QCheck.(string_of_size (QCheck.Gen.int_range 0 20_000))
     (fun s ->
       let store = fresh () in
       let bulk = Fblob.create store cfg s in
-      (* splicing the full content into an empty blob feeds elements one at
-         a time through the generic chunker *)
-      let elementwise = Fblob.splice (Fblob.empty store cfg) ~pos:0 ~del:0 ~ins:s in
-      Fblob.equal bulk elementwise)
+      (* the generic chunker over the same one-byte elements *)
+      let elementwise = Byte_tree.of_list store cfg (List.of_seq (String.to_seq s)) in
+      Fbchunk.Cid.equal (Fblob.root bulk) (Byte_tree.root elementwise))
 
 let qcheck_blob_splice =
   QCheck.Test.make ~name:"blob splice matches string model" ~count:100
@@ -96,6 +107,156 @@ let qcheck_blob_splice =
       let b' = Fblob.splice b ~pos ~del ~ins in
       let expected = String.sub s 0 pos ^ ins ^ String.sub s (pos + del) (n - pos - del) in
       Fblob.to_string b' = expected)
+
+(* --- copy-on-write blob updates: rebase and byte splice --- *)
+
+(* Small leaves and index nodes of ~4 entries, so a few KB already make a
+   tree of 3-4 levels and every index level gets spliced. *)
+let cfg_tall = { (Fbtree.Tree_config.with_leaf_bits 7) with Fbtree.Tree_config.index_bits = 2 }
+
+(* Leaf end offsets exactly as the bulk build cuts [s]. *)
+let leaf_ends cfg s =
+  let roll = Fbhash.Rolling.any cfg.Fbtree.Tree_config.rolling ~window:cfg.Fbtree.Tree_config.window in
+  let rec go off acc =
+    if off >= String.length s then List.rev acc
+    else
+      match
+        Fbhash.Rolling.any_find_boundary roll s ~off ~chunk_size_before:0
+          ~min_size:cfg.Fbtree.Tree_config.min_leaf_bytes
+          ~max_size:cfg.Fbtree.Tree_config.max_leaf_bytes
+          ~mask:((1 lsl cfg.Fbtree.Tree_config.leaf_bits) - 1)
+      with
+      | Some consumed ->
+          Fbhash.Rolling.any_reset roll;
+          go (off + consumed) ((off + consumed) :: acc)
+      | None -> List.rev (String.length s :: acc)
+  in
+  go 0 []
+
+(* One edit [(old, pos, del, ins)], drawn from the shapes copy-on-write has
+   to get right. *)
+let blob_edit_gen cfg =
+  let open QCheck.Gen in
+  let text lo hi = string_size ~gen:printable (int_range lo hi) in
+  let edit_in s lo hi =
+    (* pos in [lo, hi), a short delete and a short insert *)
+    let* pos = int_range lo (max lo (hi - 1)) in
+    let* del = int_range 0 (min 40 (String.length s - pos)) in
+    let* ins = text 0 40 in
+    return (s, pos, del, ins)
+  in
+  let max_leaf = cfg.Fbtree.Tree_config.max_leaf_bytes in
+  frequency
+    [
+      (1, map (fun s -> ("", 0, 0, s)) (text 1 3000));
+      (1, map (fun s -> (s, 0, String.length s, "")) (text 1 3000));
+      (* appends rewrite the residual last leaf *)
+      (2, map2 (fun s t -> (s, String.length s, 0, t)) (text 1 4000) (text 1 300));
+      (* edits inside the first leaf *)
+      ( 2,
+        let* s = text 1 4000 in
+        edit_in s 0 (List.hd (leaf_ends cfg s)) );
+      (* edits straddling a leaf boundary *)
+      ( 3,
+        let* s = text 600 4000 in
+        match List.rev (leaf_ends cfg s) with
+        | _ :: (_ :: _ as inner) ->
+            let* e = oneofl inner in
+            let* before = int_range 1 (min 30 e) in
+            let* after = int_range 1 (min 30 (String.length s - e)) in
+            let* ins = text 0 60 in
+            return (s, e - before, before + after, ins)
+        | _ -> edit_in s 0 (String.length s) );
+      (* inserts that push a leaf past max_leaf_bytes, with and without a
+         content boundary inside *)
+      ( 2,
+        let* s = text 1 4000 in
+        let* pos = int_range 0 (String.length s) in
+        let* ins =
+          oneof
+            [ return (String.make (max_leaf + 100) 'z'); text max_leaf (2 * max_leaf) ]
+        in
+        return (s, pos, 0, ins) );
+      (* wholly different content *)
+      (1, map2 (fun s t -> (s, 0, String.length s, t)) (text 1 3000) (text 1 3000));
+      (* anything else: a random edit anywhere *)
+      ( 3,
+        let* s = text 1 5000 in
+        edit_in s 0 (String.length s + 1) );
+    ]
+
+let apply_edit (s, pos, del, ins) =
+  String.sub s 0 pos ^ ins ^ String.sub s (pos + del) (String.length s - pos - del)
+
+let print_edit (s, pos, del, ins) =
+  Printf.sprintf "len=%d pos=%d del=%d ins=%d" (String.length s) pos del
+    (String.length ins)
+
+(* [got] is exactly the tree [create] builds from [expected], in a fresh
+   store: same root cid, same shape, same bytes, and every chunk present
+   in the store it was written to. *)
+let same_as_create cfg got expected =
+  let built = Fblob.create (fresh ()) cfg expected in
+  Fbchunk.Cid.equal (Fblob.root got) (Fblob.root built)
+  && Fblob.height got = Fblob.height built
+  && Fblob.chunk_count got = Fblob.chunk_count built
+  && Fblob.to_string got = expected
+  && Fblob.verify got
+
+let qcheck_blob_cow name update =
+  List.map
+    (fun (label, cfg) ->
+      QCheck.Test.make ~name:(Printf.sprintf "%s (%s)" name label) ~count:150
+        (QCheck.make ~print:print_edit (blob_edit_gen cfg))
+        (fun ((s, _, _, _) as edit) ->
+          let old = Fblob.create (fresh ()) cfg s in
+          same_as_create cfg (update old edit) (apply_edit edit)))
+    [ ("leaf_bits 8", cfg); ("tall tree", cfg_tall) ]
+
+let qcheck_blob_rebase =
+  qcheck_blob_cow "blob rebase = create (same root)" (fun old edit ->
+      Fblob.rebase old (apply_edit edit))
+
+let qcheck_blob_byte_splice =
+  qcheck_blob_cow "blob byte splice = create (same root)"
+    (fun old (_, pos, del, ins) -> Fblob.splice old ~pos ~del ~ins)
+
+let test_blob_rebase_unchanged () =
+  List.iter
+    (fun s ->
+      let store = fresh () in
+      let old = Fblob.create store cfg_tall s in
+      let puts = (store.Store.stats ()).Store.puts in
+      let same = Fblob.rebase old s in
+      Alcotest.(check bool) "the same tree comes back" true (same == old);
+      Alcotest.(check int) "no store puts" puts (store.Store.stats ()).Store.puts)
+    [ ""; "x"; Workload.Text_edit.initial_page ~seed:1L ~size:20_000 ]
+
+(* Rebasing a long history edit by edit writes a handful of chunks per
+   edit, never the whole blob. *)
+let test_blob_rebase_locality () =
+  let store = fresh () in
+  let page = Workload.Text_edit.initial_page ~seed:2L ~size:200_000 in
+  let full = Fblob.create (fresh ()) cfg page in
+  let b = ref (Fblob.create store cfg page) and content = ref page in
+  let rng = Fbutil.Splitmix.create 3L in
+  for _ = 1 to 50 do
+    let edit =
+      Workload.Text_edit.random_edit rng ~page_len:(String.length !content)
+        ~update_ratio:0.5 ~edit_size:100
+    in
+    content := Workload.Text_edit.apply !content edit;
+    let puts = (store.Store.stats ()).Store.puts in
+    b := Fblob.rebase !b !content;
+    let written = (store.Store.stats ()).Store.puts - puts in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d puts for a 100 B edit of a %d-chunk blob" written
+         (Fblob.chunk_count full))
+      true
+      (written <= 4 * Fblob.height !b)
+  done;
+  Alcotest.(check bool) "history ends where a fresh build does" true
+    (Fbchunk.Cid.equal (Fblob.root !b) (Fblob.root (Fblob.create (fresh ()) cfg !content)))
 
 let test_blob_dedup_versions () =
   let store = fresh () in
@@ -328,6 +489,13 @@ let () =
           Alcotest.test_case "paper example (fig 4)" `Quick test_blob_paper_example;
           q qcheck_blob_bulk_build;
           q qcheck_blob_splice;
+        ]
+        @ List.map q (qcheck_blob_rebase @ qcheck_blob_byte_splice)
+        @ [
+          Alcotest.test_case "rebase of unchanged content writes nothing" `Quick
+            test_blob_rebase_unchanged;
+          Alcotest.test_case "rebase writes O(edit) chunks" `Quick
+            test_blob_rebase_locality;
           Alcotest.test_case "version dedup" `Quick test_blob_dedup_versions;
         ] );
       ( "list",
