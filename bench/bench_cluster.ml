@@ -4,11 +4,14 @@
 module Db = Forkbase.Db
 module Store = Fbchunk.Chunk_store
 
-(* Figure 8: near-linear scaling.  Per-request service times are measured
-   on the real single-servlet code path, then fed to the discrete-event
-   cluster simulator (see DESIGN.md §1.3 for the substitution argument). *)
+(* Figure 8: near-linear scaling, projected.  Per-request service times
+   are measured on the real single-servlet code path, then fed to the
+   discrete-event cluster simulator (see DESIGN.md §1.3 for the
+   substitution argument) — so every throughput here is a projection,
+   and its metrics carry a [projected_] prefix. *)
 let fig8 scale =
-  Bench_util.section "Figure 8: Scalability with multiple servlets";
+  Bench_util.section
+    "Figure 8: Scalability with multiple servlets (projected by Event_sim)";
   let requests_per_node = Bench_util.pick scale 20_000 100_000 in
   let sizes = [ 256; 2_560 ] in
   let measure_service size =
@@ -53,7 +56,8 @@ let fig8 scale =
               in
               Bench_json.metric
                 ~name:
-                  (Printf.sprintf "%s_%dB_%d_nodes_tput" op size nodes)
+                  (Printf.sprintf "projected_%s_%dB_%d_nodes_tput" op size
+                     nodes)
                 ~value:r.Fbcluster.Event_sim.throughput ~unit:"ops/s";
               Bench_util.row
                 [
@@ -262,91 +266,19 @@ let chaos_pass ~ops =
   in
   (!acked, !lost, moved, fsck_violations)
 
-(* Average put round-trip through the real wire path — one worker, one
-   real shard process — which is the service time a shard with its own
-   core would sustain.  Feeding it to the event simulator (the fig8
-   substitution, DESIGN.md §1.3) projects the scaling curve this
-   topology reaches when each shard process actually gets a core. *)
-let measured_put_service ~ops ~value_bytes =
-  Procs.with_temp_dir @@ fun scratch ->
-  let dirs = shard_dirs scratch 1 in
-  let procs, map = Shard.spawn_cluster ~dirs () in
-  Fun.protect ~finally:(fun () -> List.iter Procs.kill procs) @@ fun () ->
-  let d = Dispatch.of_map map in
-  Fun.protect ~finally:(fun () -> Dispatch.close d) @@ fun () ->
-  let value = String.make value_bytes 'x' in
-  for i = 1 to 50 do
-    ignore (Dispatch.put d ~key:(Printf.sprintf "warm-%d" i) (Wire.Str value)
-            : Fbchunk.Cid.t)
-  done;
-  let t0 = Bench_util.now () in
-  for i = 1 to ops do
-    ignore (Dispatch.put d ~key:(Printf.sprintf "key-%d" i) (Wire.Str value)
-            : Fbchunk.Cid.t)
-  done;
-  (Bench_util.now () -. t0) /. float_of_int ops
-
 let sharded scale =
   Bench_util.section
     "Sharded serving: real processes, dispatcher routing, rebalance";
   let workers = 16 in
   let value_bytes = 64 in
-  (* The headline curve [sharded_put_tput_N]: per-op service time is
-     measured end to end on the real sharded wire path (dispatcher →
-     shard process → journal fsync → ack), then the multi-shard
-     throughput is computed with the discrete-event simulator exactly
-     as fig8 does (DESIGN.md §1.3's substitution argument) — i.e. the
-     curve a cluster of these measured processes reaches when each
-     shard has its own core.  This host has one core and one flush
-     queue, so all-local process measurements serialize on CPU and
-     device flushes no matter the topology; those raw one-core curves
-     are reported below as [sharded_put_tput_1core*_N], in both
-     durability regimes, so the local reality stays visible next to
-     the projection. *)
-  let service = measured_put_service ~ops:(Bench_util.pick scale 500 3_000)
-      ~value_bytes in
-  Bench_util.subsection
-    (Printf.sprintf
-       "projected from measured service time (%.0f us/put, fig8 substitution)"
-       (service *. 1e6));
-  Bench_util.row_header [ "#shards"; "put throughput (Kops/s)"; "speedup" ];
-  let base = ref 0.0 in
-  List.iter
-    (fun shards ->
-      let r =
-        Fbcluster.Event_sim.run
-          {
-            Fbcluster.Event_sim.servlets = shards;
-            clients = 32 * shards;
-            requests = Bench_util.pick scale 4_000 40_000 * shards;
-            service_time = (fun () -> service);
-            network_delay = 0.0001;
-            route =
-              (fun i ->
-                Fbcluster.Partition.servlet_of_key ~servlets:shards
-                  (Printf.sprintf "key-%d" i));
-          }
-      in
-      let tput = r.Fbcluster.Event_sim.throughput in
-      if shards = 1 then base := tput;
-      Bench_json.metric
-        ~name:(Printf.sprintf "sharded_put_tput_%d" shards)
-        ~value:tput ~unit:"ops/s";
-      Bench_json.metric
-        ~name:(Printf.sprintf "sharded_put_speedup_%d" shards)
-        ~value:(tput /. !base) ~unit:"x";
-      Bench_util.row
-        [
-          string_of_int shards;
-          Printf.sprintf "%.1f" (tput /. 1000.0);
-          Printf.sprintf "%.2fx" (tput /. !base);
-        ])
-    [ 1; 2; 4 ];
-  (* Raw one-core measurements, two durability regimes: per-op fsync
+  (* The headline curve [sharded_put_tput_1core*_N] (named when the
+     recording host had one core), measured end to end (dispatcher →
+     shard process → journal → ack) with every shard and client process
+     sharing one host's cores, in two durability regimes: per-op fsync
      (shards overlap disk waits — until the device's flush queue
      serializes) and group commit (a single server amortizes one fsync
-     over every connection, so sharding only splits the batch).  Kept
-     measured, not assumed. *)
+     over every connection, so sharding only splits the batch).
+     Measured, not projected. *)
   List.iter
     (fun (label, group_commit, suffix, ops_per_worker) ->
       Bench_util.subsection label;
@@ -374,11 +306,11 @@ let sharded scale =
             ])
         [ 1; 2; 4 ])
     [
-      ( "one core, per-op durability (fsync per put)",
+      ( "one host, per-op durability (fsync per put)",
         false,
         "",
         Bench_util.pick scale 300 2_000 );
-      ( "one core, group commit (batched fsyncs)",
+      ( "one host, group commit (batched fsyncs)",
         true,
         "_gc",
         Bench_util.pick scale 1_500 10_000 );

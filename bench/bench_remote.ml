@@ -9,14 +9,8 @@ module Wire = Fbremote.Wire
 module Persist = Fbpersist.Persist
 module Procs = Fbremote.Procs
 
-(* Server children over a wide backlog, so 16 clients connecting at once
-   never wait on a dropped SYN. *)
-let spawn serve =
-  let listen_fd = Server.listen ~backlog:64 ~port:0 () in
-  Procs.spawn_on (listen_fd, Server.bound_port listen_fd) serve
-
 let spawn_server () =
-  spawn (fun listen_fd ->
+  Procs.spawn (fun listen_fd ->
       let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
       ignore (Server.serve db listen_fd : Server.counters))
 
@@ -24,7 +18,7 @@ let spawn_server () =
    batching them via the event loop's group commit.  Either way every
    acknowledged put is power-loss durable before its ack leaves. *)
 let spawn_durable_server ~dir ~group_commit () =
-  spawn (fun listen_fd ->
+  Procs.spawn (fun listen_fd ->
       let p = Persist.open_db ~journal_sync_every:1 dir in
       let gc =
         if group_commit then begin

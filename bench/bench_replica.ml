@@ -11,52 +11,15 @@
       out while the primary keeps exclusive ownership of writes. *)
 
 module Cid = Fbchunk.Cid
-module Db = Forkbase.Db
-module Persist = Fbpersist.Persist
-module Server = Fbremote.Server
 module Client = Fbremote.Client
 module Wire = Fbremote.Wire
 module Replica = Fbreplica.Replica
 module Procs = Fbremote.Procs
 
-let spawn_primary dir =
-  let listen_fd = Server.listen ~backlog:64 ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
-      let p = Persist.open_db dir in
-      (try
-         ignore
-           (Server.serve
-              ~checkpoint:(fun () -> Persist.compact p)
-              ~journal:(Replica.journal_hooks p)
-              (Persist.db p) listen_fd
-             : Server.counters)
-       with _ -> ());
-      (try Persist.close p with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
-
-let spawn_follower ~dir ~primary_port =
-  let listen_fd = Server.listen ~backlog:64 ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
-      let f =
-        Replica.open_follower ~dir ~host:"127.0.0.1" ~port:primary_port ()
-      in
-      (try ignore (Replica.serve f listen_fd : Server.counters) with _ -> ());
-      (try Replica.close f with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
-
-let reap pid =
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] pid)
+(* The primary keeps a per-op journal fsync (no group commit): catch-up
+   and read scaling are measured against the durability regime every
+   acknowledged put pays without batching. *)
+let spawn_primary dir = Fbreplica.Proc.spawn_primary ~group_commit:false ~dir ()
 
 (* Commit [ops] writes on the primary: small strings plus periodic
    multi-chunk blobs, so catch-up pays for real chunk backfill. *)
@@ -79,8 +42,9 @@ let catch_up scale =
     [ "ops"; "entries/s"; "chunks_fetched"; "pulls"; "elapsed(s)" ];
   Procs.with_temp_dir @@ fun pdir ->
   Procs.with_temp_dir @@ fun fdir ->
-  let port, ppid = spawn_primary pdir in
-  Fun.protect ~finally:(fun () -> reap ppid) @@ fun () ->
+  let primary = spawn_primary pdir in
+  Fun.protect ~finally:(fun () -> Procs.kill primary) @@ fun () ->
+  let port = Procs.port primary in
   let c = Client.connect ~retries:20 ~port () in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   load_primary c ~ops ~blob_every:20 ~blob_size:40_000;
@@ -135,14 +99,19 @@ let read_scaling scale =
     [ "servers"; "readers"; "reads"; "throughput(Kops/s)" ];
   Procs.with_temp_dir @@ fun pdir ->
   Procs.with_temp_dir @@ fun fdir ->
-  let pport, ppid = spawn_primary pdir in
-  Fun.protect ~finally:(fun () -> reap ppid) @@ fun () ->
+  let primary = spawn_primary pdir in
+  Fun.protect ~finally:(fun () -> Procs.kill primary) @@ fun () ->
+  let pport = Procs.port primary in
   let c = Client.connect ~retries:20 ~port:pport () in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   load_primary c ~ops:200 ~blob_every:50 ~blob_size:20_000;
   let primary_seq = (Client.stats c).Wire.journal_seq in
-  let fport, fpid = spawn_follower ~dir:fdir ~primary_port:pport in
-  Fun.protect ~finally:(fun () -> reap fpid) @@ fun () ->
+  let follower =
+    Fbreplica.Proc.spawn_follower ~dir:fdir ~host:"127.0.0.1"
+      ~primary_port:pport ()
+  in
+  Fun.protect ~finally:(fun () -> Procs.kill follower) @@ fun () ->
+  let fport = Procs.port follower in
   (* wait for the follower to drain its lag before measuring *)
   let fc = Client.connect ~retries:20 ~port:fport () in
   let deadline = Unix.gettimeofday () +. 30. in

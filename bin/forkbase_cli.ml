@@ -248,16 +248,45 @@ let print_conn_counters ~accepted ~active ~closed_ok ~closed_err ~frames_in
       group_commits acks_released
       (float_of_int acks_released /. float_of_int group_commits)
 
+(* The serving knobs serve and follow take, as one [Server.config]
+   term. *)
+let server_config =
+  let max_conns =
+    Arg.(
+      value
+      & opt int Fbremote.Server.default_config.Fbremote.Server.max_conns
+      & info [ "max-conns" ] ~docv:"N"
+          ~doc:"Serve at most $(docv) concurrent connections; further \
+                clients wait in the listen backlog.")
+  in
+  let idle_timeout =
+    Arg.(
+      value
+      & opt float Fbremote.Server.default_config.Fbremote.Server.idle_timeout
+      & info [ "idle-timeout" ] ~docv:"SECONDS"
+          ~doc:"Close connections idle for more than $(docv) (0 disables).")
+  in
+  let max_frame_bytes =
+    Arg.(
+      value
+      & opt int
+          Fbremote.Server.default_config.Fbremote.Server.max_frame_bytes
+      & info [ "max-frame-bytes" ] ~docv:"BYTES"
+          ~doc:"Reject request frames larger than $(docv) without \
+                allocating them.")
+  in
+  let make max_conns idle_timeout max_frame_bytes =
+    { Fbremote.Server.default_config with max_conns; idle_timeout; max_frame_bytes }
+  in
+  Term.(const make $ max_conns $ idle_timeout $ max_frame_bytes)
+
 let serve_cmd =
-  let run port max_conns idle_timeout max_frame_bytes no_group_commit =
+  let run port config no_group_commit =
     with_store @@ fun p ->
     let listen_fd = Fbremote.Server.listen ~port () in
     Printf.printf "forkbase server listening on 127.0.0.1:%d (data in %s)\n%!"
       (Fbremote.Server.bound_port listen_fd)
       (data_dir ());
-    let config =
-      { Fbremote.Server.default_config with max_conns; idle_timeout; max_frame_bytes }
-    in
     (* Group commit (default): the event loop batches concurrent writers'
        journal fsyncs into one per round, holding their acks until it. *)
     let group_commit =
@@ -282,28 +311,6 @@ let serve_cmd =
   let port_arg =
     Arg.(value & opt int 7878 & info [ "p"; "port" ] ~docv:"PORT")
   in
-  let max_conns_arg =
-    Arg.(
-      value
-      & opt int Fbremote.Server.default_config.Fbremote.Server.max_conns
-      & info [ "max-conns" ] ~docv:"N"
-          ~doc:"Serve at most $(docv) concurrent connections; further \
-                clients wait in the listen backlog.")
-  in
-  let idle_timeout_arg =
-    Arg.(
-      value & opt float 0.
-      & info [ "idle-timeout" ] ~docv:"SECONDS"
-          ~doc:"Close connections idle for more than $(docv) (0 disables).")
-  in
-  let max_frame_bytes_arg =
-    Arg.(
-      value
-      & opt int Fbremote.Wire.default_max_frame_bytes
-      & info [ "max-frame-bytes" ] ~docv:"BYTES"
-          ~doc:"Reject request frames larger than $(docv) without \
-                allocating them.")
-  in
   let no_group_commit_arg =
     Arg.(
       value & flag
@@ -316,8 +323,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"run a network server over this store (stops on a Quit request)")
-    Term.(const run $ port_arg $ max_conns_arg $ idle_timeout_arg
-          $ max_frame_bytes_arg $ no_group_commit_arg)
+    Term.(const run $ port_arg $ server_config $ no_group_commit_arg)
 
 let stats_cmd =
   let run port =
@@ -400,7 +406,7 @@ let of_arg =
     & info [ "of" ] ~docv:"HOST:PORT" ~doc:"The primary to replicate from.")
 
 let follow_cmd =
-  let run primary port max_conns idle_timeout max_frame_bytes =
+  let run primary port config =
     let host, primary_port = parse_host_port primary in
     let f =
       Fbreplica.Replica.open_follower ~dir:(data_dir ()) ~host
@@ -414,9 +420,6 @@ let follow_cmd =
        %!"
       (Fbremote.Server.bound_port listen_fd)
       (data_dir ()) host primary_port;
-    let config =
-      { Fbremote.Server.default_config with max_conns; idle_timeout; max_frame_bytes }
-    in
     let k = Fbreplica.Replica.serve ~config f listen_fd in
     let c = Fbreplica.Replica.counters f in
     Printf.printf
@@ -433,29 +436,13 @@ let follow_cmd =
   let port_arg =
     Arg.(value & opt int 7879 & info [ "p"; "port" ] ~docv:"PORT")
   in
-  let max_conns_arg =
-    Arg.(
-      value
-      & opt int Fbremote.Server.default_config.Fbremote.Server.max_conns
-      & info [ "max-conns" ] ~docv:"N")
-  in
-  let idle_timeout_arg =
-    Arg.(value & opt float 0. & info [ "idle-timeout" ] ~docv:"SECONDS")
-  in
-  let max_frame_bytes_arg =
-    Arg.(
-      value
-      & opt int Fbremote.Wire.default_max_frame_bytes
-      & info [ "max-frame-bytes" ] ~docv:"BYTES")
-  in
   Cmd.v
     (Cmd.info "follow"
        ~doc:
          "run a read-only follower of a primary server: tail its journal \
           into this store, serve reads, redirect writes (stops on a Quit \
           request; this store is then promotable with 'forkbase serve')")
-    Term.(const run $ of_arg $ port_arg $ max_conns_arg $ idle_timeout_arg
-          $ max_frame_bytes_arg)
+    Term.(const run $ of_arg $ port_arg $ server_config)
 
 let replication_status_cmd =
   let run primary port =

@@ -223,28 +223,3 @@ let replicated members ~replicas ~route =
     acc
   in
   { put; get; mem; stats }
-
-let union members ~route =
-  match members with
-  | [] -> invalid_arg "Chunk_store.union: empty"
-  | _ ->
-      let arr = Array.of_list members in
-      let pick cid = arr.(route cid mod Array.length arr) in
-      let put chunk = (pick (Chunk.cid chunk)).put chunk in
-      let get cid = (pick cid).get cid in
-      let mem cid = (pick cid).mem cid in
-      let stats () =
-        let acc = fresh_stats () in
-        Array.iter
-          (fun m ->
-            let s = m.stats () in
-            acc.puts <- acc.puts + s.puts;
-            acc.dedup_hits <- acc.dedup_hits + s.dedup_hits;
-            acc.gets <- acc.gets + s.gets;
-            acc.misses <- acc.misses + s.misses;
-            acc.chunks <- acc.chunks + s.chunks;
-            acc.bytes <- acc.bytes + s.bytes)
-          arr;
-        acc
-      in
-      { put; get; mem; stats }

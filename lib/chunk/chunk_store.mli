@@ -75,11 +75,6 @@ val redirectable : t -> t * (t -> unit)
     compaction (lib/persist) uses this to point a live [Db.t] at a freshly
     swept log without rebuilding the database. *)
 
-val union : t list -> route:(Cid.t -> int) -> t
-(** Partitioned pool of stores: each cid lives in store [route cid].  This
-    is the "servlet to chunk storage" layer of the two-layer partitioning
-    (§4.6); [stats] aggregates over members. *)
-
 val replicated : t list -> replicas:int -> route:(Cid.t -> int) -> t
 (** Replicated pool (§4.4): a chunk is written to [replicas] consecutive
     members starting at [route cid]; reads fall back to the next replica

@@ -4,7 +4,6 @@ module Chunk = Fbchunk.Chunk
 type mode = One_layer | Two_layer
 
 type t = {
-  mode : mode;
   locals : Store.t array; (* one chunk storage per node *)
   servlets : Forkbase.Db.t array;
 }
@@ -39,15 +38,10 @@ let create ?(cfg = Fbtree.Tree_config.default) ~n mode =
         in
         Forkbase.Db.create ~cfg store)
   in
-  { mode; locals; servlets }
-
-let n t = Array.length t.servlets
-let mode t = t.mode
+  { locals; servlets }
 
 let db_for_key t key =
-  t.servlets.(Partition.servlet_of_key ~servlets:(n t) key)
-
-let servlet t i = t.servlets.(i)
+  t.servlets.(Partition.servlet_of_key ~servlets:(Array.length t.servlets) key)
 
 let storage_distribution t =
   Array.map (fun s -> (s.Store.stats ()).Store.bytes) t.locals

@@ -1,5 +1,7 @@
-(** A simulated ForkBase cluster (§4.1, §4.6): [n] servlets, each co-located
-    with a local chunk storage, plus a dispatcher routing by key hash.
+(** An in-process model of a ForkBase cluster (§4.1, §4.6): [n] servlets,
+    each co-located with a local chunk storage, plus a dispatcher routing
+    by key hash.  It exists for the Figure 15 storage-balance comparison;
+    the served cluster is [lib/shard] (one-layer placement).
 
     Partitioning modes reproduce the Figure 15 comparison:
     - [One_layer]: all chunks of a key live on the key's servlet, so hot
@@ -12,13 +14,10 @@ type mode = One_layer | Two_layer
 type t
 
 val create : ?cfg:Fbtree.Tree_config.t -> n:int -> mode -> t
-val n : t -> int
-val mode : t -> mode
 
 val db_for_key : t -> string -> Forkbase.Db.t
 (** The servlet responsible for a key, as the dispatcher would route it. *)
 
-val servlet : t -> int -> Forkbase.Db.t
 val storage_distribution : t -> int array
 (** Stored bytes per chunk-storage node. *)
 

@@ -1,12 +1,12 @@
 module Db = Forkbase.Db
 module Value = Fbtypes.Value
 
-let listen ?(backlog = 16) ~port () =
+let listen ~port () =
   Wire.ignore_sigpipe ();
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt fd Unix.SO_REUSEADDR true;
   Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen fd backlog;
+  Unix.listen fd 64;
   fd
 
 let bound_port fd =

@@ -12,8 +12,10 @@
     shutdown: accepting stops and in-flight responses are drained before
     sockets close. *)
 
-val listen : ?backlog:int -> port:int -> unit -> Unix.file_descr
-(** Bind and listen on 127.0.0.1:[port]; [port] 0 picks an ephemeral one.
+val listen : port:int -> unit -> Unix.file_descr
+(** Bind and listen on 127.0.0.1:[port] with a backlog of 64, so a burst
+    of clients connecting at once never waits on a dropped SYN; [port] 0
+    picks an ephemeral one.
     Also ignores [SIGPIPE] for the process (see {!Wire.ignore_sigpipe}). *)
 
 val bound_port : Unix.file_descr -> int

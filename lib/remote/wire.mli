@@ -58,12 +58,12 @@ type request =
       (** install a strictly newer partition map on a shard (rebalance
           driver only); stale versions answer [Error] *)
   | Push_chunks of { chunks : string list }
-      (** rebalance/scatter: store these {!Fbchunk.Chunk.encode}d chunks
+      (** rebalance: store these {!Fbchunk.Chunk.encode}d chunks
           (at most {!Server.max_fetch_chunks} per request); content
           addressing makes this idempotent *)
   | Restore_branch of { key : string; branch : string; uid : Fbchunk.Cid.t }
       (** install a branch head whose object closure was pushed first
-          (rebalance/scatter); validated + journaled via
+          (rebalance); validated + journaled via
           [Db.restore_branch] *)
   | Export_key of { key : string }
       (** tagged branches of [key] regardless of ownership (rebalance

@@ -3,9 +3,6 @@ module Client = Fbremote.Client
 module Server = Fbremote.Server
 module Chunk = Fbchunk.Chunk
 module Cid = Fbchunk.Cid
-module Store = Fbchunk.Chunk_store
-module Fobject = Forkbase.Fobject
-module Value = Fbtypes.Value
 module Replica = Fbreplica.Replica
 
 exception Unroutable of string
@@ -24,7 +21,6 @@ type t = {
   conn_retries : int;
   route_retries : int;
   backoff : float;
-  cfg : Fbtree.Tree_config.t;
 }
 
 let map t = t.map
@@ -90,7 +86,7 @@ let refresh_map t =
   List.iter (probe_map t) addrs
 
 let connect ?(conn_retries = 20) ?(route_retries = 400) ?(backoff = 0.005)
-    ?(cfg = Fbtree.Tree_config.default) ~host ~port () =
+    ~host ~port () =
   let t =
     {
       map = { Shard_map.version = 0; shards = [||]; pending = [] };
@@ -99,7 +95,6 @@ let connect ?(conn_retries = 20) ?(route_retries = 400) ?(backoff = 0.005)
       conn_retries;
       route_retries;
       backoff;
-      cfg;
     }
   in
   let c =
@@ -127,8 +122,7 @@ let connect ?(conn_retries = 20) ?(route_retries = 400) ?(backoff = 0.005)
   refresh_map t;
   t
 
-let of_map ?(conn_retries = 20) ?(route_retries = 400) ?(backoff = 0.005)
-    ?(cfg = Fbtree.Tree_config.default) map =
+let of_map ?(conn_retries = 20) ?(route_retries = 400) ?(backoff = 0.005) map =
   {
     map;
     conns = Hashtbl.create 8;
@@ -136,7 +130,6 @@ let of_map ?(conn_retries = 20) ?(route_retries = 400) ?(backoff = 0.005)
     conn_retries;
     route_retries;
     backoff;
-    cfg;
   }
 
 let close t =
@@ -227,8 +220,8 @@ let quit_all t =
   close t
 
 (* ------------------------------------------------------------------ *)
-(* Chunk movement: closure pulls and batched pushes, shared by the
-   rebalancer and the two-layer scatter/gather paths. *)
+(* Chunk movement for the rebalancer: closure pulls and batched
+   pushes. *)
 
 (* Batch caps: the request count cap mirrors [Server.max_fetch_chunks];
    the byte cap keeps a batch of large blob leaves far under the 4 MiB
@@ -255,45 +248,41 @@ let push_chunks_batched t ~dst encs =
   in
   flush batch
 
-(* Fetch [cids] preferring shard [src], falling back to every other shard
-   for whatever [src] does not hold (two-layer closures are spread by
-   design).  Returns decoded chunks paired with their encodings; raises
-   [Rebalance_failed] if any cid is nowhere. *)
-let fetch_chunks_anywhere t ~src cids =
+(* Fetch [cids] from shard [src], the key's old owner, which holds the
+   key's whole chunk closure.  Returns decoded chunks paired with their
+   encodings; raises [Rebalance_failed] if [src] is unreachable or lacks
+   any cid. *)
+let fetch_chunks t ~src cids =
   let want = Cid.Tbl.create (List.length cids) in
   List.iter (fun cid -> Cid.Tbl.replace want cid ()) cids;
-  let got = ref [] in
-  let take encs =
-    List.iter
+  let encs =
+    match Client.fetch_chunks (conn t src) cids with
+    | encs -> encs
+    | exception (Client.Disconnected | Wire.Connection_closed) ->
+        drop_conn t src;
+        []
+    | exception Unix.Unix_error _ ->
+        drop_conn t src;
+        []
+  in
+  let got =
+    List.filter_map
       (fun enc ->
         let chunk = Chunk.decode enc in
         let cid = Chunk.cid chunk in
         if Cid.Tbl.mem want cid then begin
           Cid.Tbl.remove want cid;
-          got := (chunk, enc) :: !got
-        end)
+          Some (chunk, enc)
+        end
+        else None)
       encs
   in
-  let ask i =
-    if Cid.Tbl.length want > 0 then begin
-      let missing = Cid.Tbl.fold (fun cid () acc -> cid :: acc) want [] in
-      match Client.fetch_chunks (conn t i) missing with
-      | encs -> take encs
-      | exception (Client.Disconnected | Wire.Connection_closed) ->
-          drop_conn t i
-      | exception Unix.Unix_error _ -> drop_conn t i
-    end
-  in
-  ask src;
-  for i = 0 to Shard_map.n t.map - 1 do
-    if i <> src then ask i
-  done;
   if Cid.Tbl.length want > 0 then
     raise
       (Rebalance_failed
-         (Printf.sprintf "%d chunks unresolvable from any shard"
-            (Cid.Tbl.length want)));
-  List.rev !got
+         (Printf.sprintf "%d chunks unresolvable from shard %d"
+            (Cid.Tbl.length want) src));
+  got
 
 (* The whole closure of [roots] (meta bases + POS-Tree children, via
    {!Fbreplica.Replica.chunk_children}), as encoded chunks, fetched in
@@ -326,7 +315,7 @@ let pull_closure t ~src roots =
               Queue.push child frontier
             end)
           (Replica.chunk_children chunk))
-      (fetch_chunks_anywhere t ~src !batch)
+      (fetch_chunks t ~src !batch)
   done;
   List.rev !out
 
@@ -445,121 +434,3 @@ let add_shard t ~host ~port =
     adopt_map t final;
     List.length moved
   end
-
-(* ------------------------------------------------------------------ *)
-(* Two-layer mode (§4.6): value chunks partitioned across the pool by
-   cid, meta chunks homed with their key's servlet.  The dispatcher does
-   the POS-Tree construction locally over a buffering store, scatters
-   the value chunks to their cid-owners, and installs the head at the
-   home shard — so each shard's store holds exactly the slice the
-   in-process simulation (lib/cluster, Two_layer) assigns it, which is
-   what the differential test pins. *)
-
-(* A store that buffers every put in insertion order and answers gets
-   from the buffer; the building blocks of a client-side scatter. *)
-let buffer_store () =
-  let tbl = Cid.Tbl.create 64 in
-  let order = ref [] in
-  let stats = Store.fresh_stats () in
-  let store =
-    {
-      Store.put =
-        (fun chunk ->
-          let cid = Chunk.cid chunk in
-          if not (Cid.Tbl.mem tbl cid) then begin
-            Cid.Tbl.replace tbl cid chunk;
-            order := chunk :: !order
-          end;
-          cid);
-      get = (fun cid -> Cid.Tbl.find_opt tbl cid);
-      mem = (fun cid -> Cid.Tbl.mem tbl cid);
-      stats = (fun () -> stats);
-    }
-  in
-  (store, fun () -> List.rev !order)
-
-let head_of branches ~branch =
-  List.assoc_opt branch branches
-
-(* Current base object of [key]@[branch], loaded from the home shard's
-   meta chunks. *)
-let base_objects t ~key ~branch =
-  let branches = Client.list_branches (client t) ~key in
-  match head_of branches ~branch with
-  | None -> []
-  | Some uid -> (
-      let src = Shard_map.owner t.map key in
-      match fetch_chunks_anywhere t ~src [ uid ] with
-      | [ (chunk, _) ] -> [ Fobject.of_chunk chunk ]
-      | _ -> [])
-
-let put_scattered ?(branch = "master") ?(context = "") t ~key content =
-  let bases = base_objects t ~key ~branch in
-  let store, drain = buffer_store () in
-  let blob = Value.Blob (Fbtypes.Fblob.create store t.cfg content) in
-  let obj = Fobject.of_value ~key ~context ~bases blob in
-  let meta = Fobject.to_chunk obj in
-  let uid = Chunk.cid meta in
-  let home = Shard_map.owner t.map key in
-  (* scatter the value chunks by cid owner *)
-  let per_shard = Hashtbl.create 8 in
-  List.iter
-    (fun chunk ->
-      let owner = Shard_map.chunk_owner t.map (Chunk.cid chunk) in
-      let prev =
-        match Hashtbl.find_opt per_shard owner with
-        | Some l -> l
-        | None -> []
-      in
-      Hashtbl.replace per_shard owner (Chunk.encode chunk :: prev))
-    (drain ());
-  Hashtbl.iter
-    (fun owner encs -> push_chunks_batched t ~dst:owner (List.rev encs))
-    per_shard;
-  (* meta is home-local (the paper's "meta chunks stay with the servlet") *)
-  push_chunks_batched t ~dst:home [ Chunk.encode meta ];
-  Client.restore_branch
-    (Client.of_call (with_route t ~key))
-    ~key ~branch uid;
-  uid
-
-(* A read-through store over the cluster: cache first, then the chunk's
-   cid-owner, then anywhere. *)
-let cluster_store t ~home =
-  let cache = Cid.Tbl.create 64 in
-  let stats = Store.fresh_stats () in
-  {
-    Store.put =
-      (fun chunk ->
-        let cid = Chunk.cid chunk in
-        Cid.Tbl.replace cache cid chunk;
-        cid);
-    get =
-      (fun cid ->
-        match Cid.Tbl.find_opt cache cid with
-        | Some chunk -> Some chunk
-        | None -> (
-            let preferred =
-              if Shard_map.n t.map = 0 then home
-              else Shard_map.chunk_owner t.map cid
-            in
-            match fetch_chunks_anywhere t ~src:preferred [ cid ] with
-            | [ (chunk, _) ] ->
-                Cid.Tbl.replace cache cid chunk;
-                Some chunk
-            | _ -> None
-            | exception Rebalance_failed _ -> None));
-    mem = (fun cid -> Cid.Tbl.mem cache cid);
-    stats = (fun () -> stats);
-  }
-
-let get_scattered ?(branch = "master") t ~key =
-  let branches = Client.list_branches (client t) ~key in
-  match head_of branches ~branch with
-  | None -> None
-  | Some uid -> (
-      let home = Shard_map.owner t.map key in
-      let store = cluster_store t ~home in
-      match Fobject.load store uid with
-      | None -> None
-      | Some obj -> Some (Fobject.value store t.cfg obj))

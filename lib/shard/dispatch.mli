@@ -10,11 +10,17 @@
     shard being respawned on its port.  All of it is bounded by a retry
     budget; exhaustion raises {!Unroutable} instead of hanging.
 
-    The dispatcher is also the rebalance driver ({!add_shard}) and the
-    two-layer client ({!put_scattered} / {!get_scattered}): cross-shard
-    chunk movement is dispatcher-mediated over the ownership-exempt admin
-    requests, never shard-to-shard — two single-threaded shard event
-    loops calling each other synchronously would deadlock. *)
+    Placement is one-layer: a key's home shard stores the key's branch
+    table and its whole chunk closure, so every shard's store is
+    self-contained and fsck-clean on its own.  (The paper's two-layer
+    split, value chunks partitioned by cid, survives only as the
+    in-process [Fbcluster.Cluster] model behind Figure 15.)
+
+    The dispatcher is also the rebalance driver ({!add_shard}):
+    cross-shard chunk movement is dispatcher-mediated over the
+    ownership-exempt admin requests, never shard-to-shard — two
+    single-threaded shard event loops calling each other synchronously
+    would deadlock. *)
 
 type t
 
@@ -23,16 +29,16 @@ exception Unroutable of string
     operation (cluster unreachable, or a rebalance fence never lifted). *)
 
 exception Rebalance_failed of string
-(** A rebalance step failed halfway (map install rejected, a chunk
-    closure unresolvable from any shard).  The fence map may still be
-    installed: re-running {!add_shard} after fixing the cause is safe —
-    chunk pushes and head restores are idempotent. *)
+(** A rebalance step failed halfway (map install rejected, a moved
+    key's old owner unreachable or missing part of its chunk closure).
+    The fence map may still be installed: re-running {!add_shard} after
+    fixing the cause is safe — chunk pushes and head restores are
+    idempotent. *)
 
 val connect :
   ?conn_retries:int ->
   ?route_retries:int ->
   ?backoff:float ->
-  ?cfg:Fbtree.Tree_config.t ->
   host:string ->
   port:int ->
   unit ->
@@ -49,7 +55,6 @@ val of_map :
   ?conn_retries:int ->
   ?route_retries:int ->
   ?backoff:float ->
-  ?cfg:Fbtree.Tree_config.t ->
   Shard_map.t ->
   t
 (** A dispatcher over an already-known map (e.g. fresh from
@@ -111,26 +116,3 @@ val add_shard : t -> host:string -> port:int -> int
     through the dispatcher, then install map v+2 with the fence lifted.
     Returns the number of keys moved.
     @raise Rebalance_failed on a half-completed step (safe to re-run). *)
-
-(** {1 Two-layer mode (§4.6)}
-
-    The paper's meta-local / value-partitioned split: the dispatcher
-    builds the POS-Tree locally over a buffering store, scatters value
-    chunks to their cid-owners ([Partition.node_of_cid]), pushes the meta
-    chunk to the key's home shard, and installs the head there.  Chunk
-    placement then matches the in-process simulation (lib/cluster,
-    [Two_layer]) chunk for chunk — the differential test pins this.
-    Reads gather through a read-through cluster store (cache, then
-    cid-owner, then anywhere). *)
-
-val put_scattered :
-  ?branch:string -> ?context:string -> t -> key:string -> string ->
-  Fbchunk.Cid.t
-(** Blob put in two-layer placement; returns the new head uid, which
-    equals what an embedded [Db.put] of the same content would mint
-    (same FObject derivation), so heads are comparable across real and
-    simulated clusters. *)
-
-val get_scattered :
-  ?branch:string -> t -> key:string -> Fbtypes.Value.t option
-(** Read back a two-layer value ([None] when branch/key unknown). *)

@@ -25,11 +25,6 @@ let owner t key =
   if servlets = 0 then raise (Bad_map "empty map has no owners");
   Partition.servlet_of_key ~servlets key
 
-let chunk_owner t cid =
-  let nodes = n t in
-  if nodes = 0 then raise (Bad_map "empty map has no owners");
-  Partition.node_of_cid ~nodes cid
-
 let addr t i =
   if i < 0 || i >= n t then
     raise (Bad_map (Printf.sprintf "shard index %d out of range (%d shards)" i (n t)));

@@ -2,9 +2,8 @@
     over {!Fbremote.Wire.shard_map} plus the per-shard on-disk copy that
     lets a killed shard restart with the map it last installed.
 
-    Routing is mod-N over cryptographic hashes
-    ({!Fbcluster.Partition.servlet_of_key} for keys,
-    {!Fbcluster.Partition.node_of_cid} for value chunks), so growing the
+    Routing is mod-N over a cryptographic hash of the key
+    ({!Fbcluster.Partition.servlet_of_key}), so growing the
     cluster from [n] to [n+1] shards moves roughly [n/(n+1)] of the keys
     (see the movement-bound test in test_cluster) — acceptable at this
     scale and measured, not assumed; a consistent-hash ring would cut it
@@ -26,11 +25,6 @@ val n : t -> int
 
 val owner : t -> string -> int
 (** Home shard of a key ({!Fbcluster.Partition.servlet_of_key}).
-    @raise Bad_map on an empty map. *)
-
-val chunk_owner : t -> Fbchunk.Cid.t -> int
-(** Home shard of a value chunk in the two-layer split
-    ({!Fbcluster.Partition.node_of_cid}).
     @raise Bad_map on an empty map. *)
 
 val addr : t -> int -> string * int

@@ -156,60 +156,6 @@ let test_delta_storage_small_for_small_edits () =
     true
     (DS.storage_bytes d < 3 * 10_000)
 
-(* --- distributed service with re-balanced construction --- *)
-
-module Service = Fbcluster.Service
-
-let test_service_put_get () =
-  let svc = Service.create ~n:4 Fbcluster.Cluster.Two_layer in
-  let content = Workload.Text_edit.initial_page ~seed:4L ~size:20_000 in
-  (match Service.put_blob svc ~key:"doc" content with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail (Forkbase.Db.error_to_string e));
-  (match Service.get_blob svc ~key:"doc" with
-  | Ok s -> Alcotest.(check int) "roundtrip" (String.length content) (String.length s)
-  | Error e -> Alcotest.fail (Forkbase.Db.error_to_string e));
-  match Service.fork svc ~key:"doc" ~from_branch:"master" ~new_branch:"dev" with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (Forkbase.Db.error_to_string e)
-
-let test_service_rebalancing_spreads_work () =
-  (* All keys hash to their home servlets; without rebalancing a hot key
-     overloads one servlet's CPU, with rebalancing construction spreads. *)
-  let run rebalance =
-    let svc = Service.create ~rebalance ~n:4 Fbcluster.Cluster.Two_layer in
-    let rng = Fbutil.Splitmix.create 5L in
-    for i = 0 to 39 do
-      (* a single hot key: every write lands on the same home servlet *)
-      ignore (Service.put_blob svc ~key:"hot" (Fbutil.Splitmix.alphanum rng 10_000));
-      ignore i
-    done;
-    let work = Service.construction_work svc in
-    let busiest = Array.fold_left max 0.0 work in
-    let total = Array.fold_left ( +. ) 0.0 work in
-    (busiest, total)
-  in
-  let busy_no, total_no = run false in
-  let busy_yes, total_yes = run true in
-  Alcotest.(check bool) "same total work" true (abs_float (total_no -. total_yes) < 1.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "rebalancing spreads construction (%.0f -> %.0f)" busy_no busy_yes)
-    true
-    (busy_yes < busy_no /. 2.0);
-  (* correctness unchanged *)
-  let svc = Service.create ~rebalance:true ~n:4 Fbcluster.Cluster.Two_layer in
-  let content = Workload.Text_edit.initial_page ~seed:6L ~size:30_000 in
-  ignore (Service.put_blob svc ~key:"k" content);
-  (match Service.get_blob svc ~key:"k" with
-  | Ok s -> Alcotest.(check bool) "content intact" true (String.equal s content)
-  | Error e -> Alcotest.fail (Forkbase.Db.error_to_string e));
-  Alcotest.(check (list string)) "no locks leaked" [] (Service.locked_keys svc)
-
-let test_service_rejects_rebalance_one_layer () =
-  match Service.create ~rebalance:true ~n:2 Fbcluster.Cluster.One_layer with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "one-layer rebalancing should be rejected"
-
 (* --- blob height / bulk path --- *)
 
 let test_blob_height () =
@@ -241,14 +187,6 @@ let () =
           q prop_delta_model;
           Alcotest.test_case "small-edit storage" `Quick
             test_delta_storage_small_for_small_edits;
-        ] );
-      ( "service",
-        [
-          Alcotest.test_case "put/get/fork" `Quick test_service_put_get;
-          Alcotest.test_case "rebalanced construction" `Quick
-            test_service_rebalancing_spreads_work;
-          Alcotest.test_case "one-layer rejected" `Quick
-            test_service_rejects_rebalance_one_layer;
         ] );
       ("blob", [ Alcotest.test_case "height" `Quick test_blob_height ]);
     ]

@@ -177,6 +177,22 @@ let test_cli_get_prints_alike () =
         (run_cli ~dir ([ "get"; key ] @ via)))
     [ ("page", "a blob value", [ "--blob" ]); ("note", "a string value", []) ]
 
+(* serve and follow take the same server-config flags. *)
+let test_cli_server_flags () =
+  Procs.with_temp_dir @@ fun dir ->
+  List.iter
+    (fun cmd ->
+      let help = run_cli ~dir [ cmd; "--help=plain" ] in
+      List.iter
+        (fun flag ->
+          let rec mem i =
+            i + String.length flag <= String.length help
+            && (String.sub help i (String.length flag) = flag || mem (i + 1))
+          in
+          if not (mem 0) then Alcotest.failf "forkbase %s: no %s" cmd flag)
+        [ "--max-conns"; "--idle-timeout"; "--max-frame-bytes" ])
+    [ "serve"; "follow" ]
+
 let () =
   Alcotest.run "handle"
     [
@@ -196,5 +212,7 @@ let () =
         [
           Alcotest.test_case "get prints alike with or without --via" `Quick
             test_cli_get_prints_alike;
+          Alcotest.test_case "serve and follow take the server flags"
+            `Quick test_cli_server_flags;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Sharded serving (lib/shard): the partition map as a versioned
-   artifact, per-shard ownership enforcement, dispatcher routing, the
-   sim-vs-real differential, crash/restart, and the fence/copy/lift
-   rebalance — all over real forked shard processes on kernel-assigned
+   artifact, per-shard ownership enforcement, dispatcher routing (heads
+   identical to an embedded db's), crash/restart, and the
+   fence/copy/lift rebalance — all over real forked shard processes on kernel-assigned
    ephemeral ports (testnet's port discipline), so `dune build @cluster`
    is a deterministic multi-process smoke that never collides with
    concurrent test binaries. *)
@@ -12,7 +12,6 @@ module Procs = Fbremote.Procs
 module Shard = Fbshard.Shard
 module Shard_map = Fbshard.Shard_map
 module Dispatch = Fbshard.Dispatch
-module C = Fbcluster.Cluster
 module Db = Forkbase.Db
 module Fsck = Fbcheck.Fsck
 
@@ -158,40 +157,21 @@ let test_dispatcher_basic_ops () =
               Alcotest.(check bool)
                 (Printf.sprintf "shard %d holds keys" i)
                 true (s.Wire.keys > 0))
-            stats))
-
-(* --- differential: real sharded cluster vs lib/cluster simulation --- *)
-
-let test_differential_sim_vs_real () =
-  let n = 4 in
-  Testnet.with_cluster n (fun _dirs _procs map ->
-      Testnet.with_dispatcher map (fun d ->
-          let sim = C.create ~n C.Two_layer in
-          let rng = Fbutil.Splitmix.create 77L in
-          let heads_equal = ref 0 in
-          for i = 0 to 29 do
-            let key = Printf.sprintf "page-%02d" i in
-            let content = Fbutil.Splitmix.alphanum rng 9_000 in
-            let sdb = C.db_for_key sim key in
-            let sim_head = Db.put sdb ~key (Db.blob sdb content) in
-            let real_head = Dispatch.put_scattered d ~key content in
-            if Fbchunk.Cid.equal sim_head real_head then incr heads_equal
-          done;
-          Alcotest.(check int) "every head identical" 30 !heads_equal;
-          (* reads gather the scattered chunks back *)
-          (match Dispatch.get_scattered d ~key:"page-00" with
-          | Some (Fbtypes.Value.Blob b) ->
-              Alcotest.(check int) "blob length" 9_000
-                (Fbtypes.Fblob.length b)
-          | _ -> Alcotest.fail "page-00 unreadable");
-          (* chunk placement matches the simulation node for node: same
-             chunk count and byte count per storage — the two-layer
-             split de-simulated without drift *)
-          let sim_bytes = Array.to_list (C.storage_distribution sim) in
-          let real = Dispatch.stats d in
-          Alcotest.(check (list int))
-            "per-node stored bytes" sim_bytes
-            (List.map (fun s -> s.Wire.bytes) real)))
+            stats;
+          (* a multi-chunk blob routed to its home shard mints the same
+             head uid as an embedded put of the same key and content:
+             sharding changes where a version lives, never what it is *)
+          let content =
+            Fbutil.Splitmix.alphanum (Fbutil.Splitmix.create 77L) 9_000
+          in
+          let routed = Dispatch.put d ~key:"page-00" (Wire.Blob content) in
+          let db = Db.create (Fbchunk.Chunk_store.mem_store ()) in
+          let embedded = Db.put db ~key:"page-00" (Db.blob db content) in
+          Alcotest.(check string) "head identical to embedded"
+            (Fbchunk.Cid.to_hex embedded) (Fbchunk.Cid.to_hex routed);
+          match Dispatch.get d ~key:"page-00" with
+          | Wire.Blob b -> Alcotest.(check string) "blob reads back" content b
+          | _ -> Alcotest.fail "page-00: wrong value shape"))
 
 (* --- crash / restart --- *)
 
@@ -313,8 +293,6 @@ let () =
       ( "dispatcher",
         [
           Alcotest.test_case "basic ops" `Quick test_dispatcher_basic_ops;
-          Alcotest.test_case "differential sim-vs-real" `Quick
-            test_differential_sim_vs_real;
         ] );
       ( "faults",
         [
