@@ -16,11 +16,6 @@ module Wire = Fbremote.Wire
 module Replica = Fbreplica.Replica
 module Procs = Fbremote.Procs
 
-(* The primary keeps a per-op journal fsync (no group commit): catch-up
-   and read scaling are measured against the durability regime every
-   acknowledged put pays without batching. *)
-let spawn_primary dir = Fbreplica.Proc.spawn_primary ~group_commit:false ~dir ()
-
 (* Commit [ops] writes on the primary: small strings plus periodic
    multi-chunk blobs, so catch-up pays for real chunk backfill. *)
 let load_primary c ~ops ~blob_every ~blob_size =
@@ -42,7 +37,7 @@ let catch_up scale =
     [ "ops"; "entries/s"; "chunks_fetched"; "pulls"; "elapsed(s)" ];
   Procs.with_temp_dir @@ fun pdir ->
   Procs.with_temp_dir @@ fun fdir ->
-  let primary = spawn_primary pdir in
+  let primary = Fbreplica.Proc.spawn_primary ~dir:pdir () in
   Fun.protect ~finally:(fun () -> Procs.kill primary) @@ fun () ->
   let port = Procs.port primary in
   let c = Client.connect ~retries:20 ~port () in
@@ -71,25 +66,6 @@ let catch_up scale =
     ];
   Client.quit_server c
 
-(* One reader process: closed-loop gets against [port]. *)
-let reader_loop ~port ~ops =
-  let c = Client.connect ~retries:20 ~port () in
-  for i = 1 to ops do
-    ignore (Client.get c ~key:(Printf.sprintf "k%d" (i mod 50)))
-  done;
-  Client.close c
-
-let run_readers ~ports ~readers ~total_ops =
-  let ops = total_ops / readers in
-  let elapsed, () =
-    Bench_util.time_it (fun () ->
-        Bench_util.fork_workers readers
-          (fun i ->
-            reader_loop ~port:(List.nth ports (i mod List.length ports)) ~ops)
-          ())
-  in
-  float_of_int (readers * ops) /. elapsed
-
 let read_scaling scale =
   Bench_util.section
     "Replication: read scaling, primary alone vs primary + follower";
@@ -99,7 +75,7 @@ let read_scaling scale =
     [ "servers"; "readers"; "reads"; "throughput(Kops/s)" ];
   Procs.with_temp_dir @@ fun pdir ->
   Procs.with_temp_dir @@ fun fdir ->
-  let primary = spawn_primary pdir in
+  let primary = Fbreplica.Proc.spawn_primary ~dir:pdir () in
   Fun.protect ~finally:(fun () -> Procs.kill primary) @@ fun () ->
   let pport = Procs.port primary in
   let c = Client.connect ~retries:20 ~port:pport () in
@@ -128,7 +104,16 @@ let read_scaling scale =
   Client.close fc;
   List.iter
     (fun ports ->
-      let throughput = run_readers ~ports ~readers ~total_ops in
+      (* reader [w] reads from server [w mod #servers] *)
+      let throughput =
+        Bench_util.closed_loop ~workers:readers ~ops:(total_ops / readers)
+          ~connect:(fun w ->
+            Bench_util.connect (List.nth ports (w mod List.length ports)))
+          (fun c _ i ->
+            ignore
+              (Client.get c ~key:(Printf.sprintf "k%d" (i mod 50))
+                : Wire.value))
+      in
       Bench_json.metric
         ~name:
           (Printf.sprintf "read_scaling_%d_servers_tput" (List.length ports))

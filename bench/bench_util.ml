@@ -46,6 +46,32 @@ let fork_workers n body =
       failwith
         (Printf.sprintf "%d of %d bench workers failed" (List.length failed) n)
 
+(* The closed-loop client load every served-throughput experiment
+   shares: [workers] forked children, child [w] opening its handle with
+   [connect w] (the handle and its closer) and then running [op c w i]
+   for [i] = 1..[ops] back to back.  Returns ops/s over the whole run,
+   connects included; a child that fails fails the run (see
+   {!fork_workers}). *)
+let closed_loop ~workers ~ops ~connect op =
+  let elapsed, () =
+    time_it (fun () ->
+        fork_workers workers
+          (fun w ->
+            let c, close = connect w in
+            for i = 1 to ops do
+              op c w i
+            done;
+            close ())
+          ())
+  in
+  float_of_int (workers * ops) /. elapsed
+
+(* A socket handle to the server on [port], for {!closed_loop}'s
+   [connect]; retries ride out a server that is still starting. *)
+let connect port =
+  let c = Fbremote.Client.connect ~retries:20 ~port () in
+  (c, fun () -> Fbremote.Client.close c)
+
 (* Average seconds per call over [runs] invocations (after [warmup]). *)
 let time_avg ?(warmup = 2) ~runs fn =
   for _ = 1 to warmup do

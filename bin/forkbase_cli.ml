@@ -281,27 +281,13 @@ let server_config =
   Term.(const make $ max_conns $ idle_timeout $ max_frame_bytes)
 
 let serve_cmd =
-  let run port config no_group_commit =
+  let run port config =
     with_store @@ fun p ->
     let listen_fd = Fbremote.Server.listen ~port () in
     Printf.printf "forkbase server listening on 127.0.0.1:%d (data in %s)\n%!"
       (Fbremote.Server.bound_port listen_fd)
       (data_dir ());
-    (* Group commit (default): the event loop batches concurrent writers'
-       journal fsyncs into one per round, holding their acks until it. *)
-    let group_commit =
-      if no_group_commit then None
-      else begin
-        Persist.set_deferred_sync p true;
-        Some (fun () -> Persist.sync p)
-      end
-    in
-    let k =
-      Fbremote.Server.serve ~config
-        ~checkpoint:(fun () -> Persist.compact p)
-        ~journal:(Fbreplica.Replica.journal_hooks p)
-        ?group_commit (Persist.db p) listen_fd
-    in
+    let k = Fbreplica.Replica.serve_primary ~config p listen_fd in
     Printf.printf "server stopped.\n";
     print_conn_counters ~accepted:k.Fbremote.Server.accepted ~active:k.active
       ~closed_ok:k.closed_ok ~closed_err:k.closed_err ~frames_in:k.frames_in
@@ -311,19 +297,10 @@ let serve_cmd =
   let port_arg =
     Arg.(value & opt int 7878 & info [ "p"; "port" ] ~docv:"PORT")
   in
-  let no_group_commit_arg =
-    Arg.(
-      value & flag
-      & info [ "no-group-commit" ]
-          ~doc:"Fsync the journal per operation instead of batching \
-                concurrent writers' fsyncs into one per event-loop round \
-                (group commit).  Per-ack durability is identical either \
-                way; group commit is just faster under concurrency.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"run a network server over this store (stops on a Quit request)")
-    Term.(const run $ port_arg $ server_config $ no_group_commit_arg)
+    Term.(const run $ port_arg $ server_config)
 
 let stats_cmd =
   let run port =
@@ -568,7 +545,7 @@ let die_bad_map f =
       exit 2
 
 let shard_cmd =
-  let run index map_str port no_group_commit =
+  let run index map_str port =
     let addrs = die_bad_map (fun () -> Shard_map.parse_addrs map_str) in
     let map = Shard_map.create ~version:1 addrs in
     if index < 0 then begin
@@ -597,8 +574,7 @@ let shard_cmd =
       (Fbremote.Server.bound_port listen_fd)
       (data_dir ());
     let k =
-      Shard.serve ~group_commit:(not no_group_commit) ~dir:(data_dir ())
-        ~self:index ~map listen_fd
+      Shard.serve ~dir:(data_dir ()) ~self:index ~map listen_fd
     in
     Printf.printf "shard stopped.\n";
     print_conn_counters ~accepted:k.Fbremote.Server.accepted ~active:k.active
@@ -630,9 +606,6 @@ let shard_cmd =
       & info [ "p"; "port" ] ~docv:"PORT"
           ~doc:"Listen port (default: this shard's port in --map).")
   in
-  let no_group_commit_arg =
-    Arg.(value & flag & info [ "no-group-commit" ])
-  in
   Cmd.v
     (Cmd.info "shard"
        ~doc:
@@ -640,7 +613,7 @@ let shard_cmd =
           the partition map homes here are served (others are redirected to \
           their owner; keys fenced mid-rebalance answer retry), and the map \
           itself is served, installed, and persisted as a versioned artifact")
-    Term.(const run $ index_arg $ map_arg $ port_arg $ no_group_commit_arg)
+    Term.(const run $ index_arg $ map_arg $ port_arg)
 
 let via_arg = Arg.(required & opt (some string) None & via_info)
 

@@ -126,8 +126,9 @@ val serve :
     [shard] makes the server one shard of a partitioned cluster (see
     {!shard_role}).
 
-    [group_commit] enables group commit over a durable store opened with
-    {!Fbpersist.Persist.set_deferred_sync}: responses to durable writes
+    [group_commit] enables group commit over a durable store in
+    deferred-sync mode ([Fbreplica.Replica.serve_primary] sets both up
+    for every durable server): responses to durable writes
     ([Put] / [Fork] / [Merge] / [Push_chunks] / [Restore_branch]) are
     parked, and once per event-loop round
     the hook (typically [fun () -> Persist.sync p]) runs {e once} before

@@ -2,26 +2,14 @@ module Persist = Fbpersist.Persist
 module Server = Fbremote.Server
 module Procs = Fbremote.Procs
 
-let spawn_primary ?port ?config ?(group_commit = true) ~dir () =
+let spawn_primary ?port ~dir () =
   Procs.spawn ?port (fun listen_fd ->
       let p = Persist.open_db dir in
-      let gc_hook =
-        if group_commit then begin
-          Persist.set_deferred_sync p true;
-          Some (fun () -> Persist.sync p)
-        end
-        else None
-      in
-      ignore
-        (Server.serve ?config
-           ~checkpoint:(fun () -> Persist.compact p)
-           ~journal:(Replica.journal_hooks p)
-           ?group_commit:gc_hook (Persist.db p) listen_fd
-          : Server.counters);
+      ignore (Replica.serve_primary p listen_fd : Server.counters);
       Persist.close p)
 
-let spawn_follower ?port ?config ~dir ~host ~primary_port () =
+let spawn_follower ?port ~dir ~host ~primary_port () =
   Procs.spawn ?port (fun listen_fd ->
       let f = Replica.open_follower ~dir ~host ~port:primary_port () in
-      ignore (Replica.serve ?config f listen_fd : Server.counters);
+      ignore (Replica.serve f listen_fd : Server.counters);
       Replica.close f)

@@ -242,3 +242,11 @@ let serve ?config t listen_fd =
     ~redirect:(t.host, t.port)
     ~tick:(fun () -> ignore (sync_step t))
     ?config (Persist.db t.persist) listen_fd
+
+let serve_primary ?config ?shard p listen_fd =
+  Persist.set_deferred_sync p true;
+  Server.serve ?config ?shard
+    ~checkpoint:(fun () -> Persist.compact p)
+    ~journal:(journal_hooks p)
+    ~group_commit:(fun () -> Persist.sync p)
+    (Persist.db p) listen_fd

@@ -120,6 +120,22 @@ val crash : t -> unit
 
 (** {1 Serving} *)
 
+val serve_primary :
+  ?config:Fbremote.Server.config ->
+  ?shard:Fbremote.Server.shard_role ->
+  Fbpersist.Persist.t ->
+  Unix.file_descr ->
+  Fbremote.Server.counters
+(** Serve the durable store [p] on [listen_fd] as a replication source —
+    the one durable serving path ([forkbase serve], {!Proc.spawn_primary}
+    and every shard run it).  It carries {!journal_hooks}, a compaction
+    trigger (a wire [Checkpoint] runs {!Fbpersist.Persist.compact}) and
+    group commit: deferred sync is switched on for [p], and each
+    event-loop round runs one {!Fbpersist.Persist.sync} before releasing
+    that round's durable-write acknowledgements, so every ack is still
+    power-loss durable when it leaves.  [shard] makes it one shard of a
+    partitioned cluster.  The caller closes [p] afterwards. *)
+
 val journal_hooks : Fbpersist.Persist.t -> Fbremote.Server.journal_hooks
 (** Journal hooks for a durable store, with pulls bounded to
     {!pull_batch} entries per round trip.  Passing this to

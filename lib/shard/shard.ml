@@ -16,35 +16,22 @@ let effective_map ~dir map =
       persisted
   | Some _ | None -> map
 
-let serve ?config ?(group_commit = true) ~dir ~self ~map listen_fd =
+let serve ~dir ~self ~map listen_fd =
   let p = Persist.open_db dir in
-  let gc_hook =
-    if group_commit then begin
-      Persist.set_deferred_sync p true;
-      Some (fun () -> Persist.sync p)
-    end
-    else None
-  in
   let shard =
     Server.shard_role ~self ~route
       ~persist_map:(fun m -> Shard_map.save ~dir m)
       (effective_map ~dir map)
   in
-  let counters =
-    Server.serve ?config
-      ~checkpoint:(fun () -> Persist.compact p)
-      ~journal:(Replica.journal_hooks p)
-      ~shard ?group_commit:gc_hook (Persist.db p) listen_fd
-  in
+  let counters = Replica.serve_primary ~shard p listen_fd in
   Persist.close p;
   counters
 
-let spawn ?port ?config ?group_commit ~dir ~self ~map () =
+let spawn ?port ~dir ~self ~map () =
   Procs.spawn ?port (fun listen_fd ->
-      ignore (serve ?config ?group_commit ~dir ~self ~map listen_fd
-        : Server.counters))
+      ignore (serve ~dir ~self ~map listen_fd : Server.counters))
 
-let spawn_cluster ?(host = "127.0.0.1") ?config ?group_commit ~dirs () =
+let spawn_cluster ?(host = "127.0.0.1") ~dirs () =
   let listeners = List.map (fun _ -> Procs.listener ()) dirs in
   let map =
     Shard_map.create ~version:1
@@ -54,8 +41,7 @@ let spawn_cluster ?(host = "127.0.0.1") ?config ?group_commit ~dirs () =
     List.mapi
       (fun self (dir, listener) ->
         Procs.spawn_on listener (fun listen_fd ->
-            ignore (serve ?config ?group_commit ~dir ~self ~map listen_fd
-              : Server.counters)))
+            ignore (serve ~dir ~self ~map listen_fd : Server.counters)))
       (List.combine dirs listeners)
   in
   (procs, map)

@@ -1,13 +1,13 @@
 (** One shard of a partitioned ForkBase cluster: a {!Fbremote.Server}
     over its own durable {!Fbpersist} store, serving only the keys the
     partition map homes on it (everything else answers [Redirect]; keys
-    fenced mid-rebalance answer [Retry]), with group commit and
-    replication hooks on — a shard is also a valid primary for
-    {!Fbreplica} followers, which is how per-shard read scaling works. *)
+    fenced mid-rebalance answer [Retry]).  It serves through
+    {!Fbreplica.Replica.serve_primary}, the same durable path as
+    `forkbase serve` — group commit, compaction trigger and replication
+    hooks — so a shard is also a valid primary for {!Fbreplica}
+    followers, which is how per-shard read scaling works. *)
 
 val serve :
-  ?config:Fbremote.Server.config ->
-  ?group_commit:bool ->
   dir:string ->
   self:int ->
   map:Shard_map.t ->
@@ -17,13 +17,10 @@ val serve :
     as shard [self].  The map actually served under is the newest of
     [map] and the one persisted in [dir] (see {!Shard_map.save}) — a
     killed shard respawned with its original bootstrap map must not
-    forget a rebalance it already installed.  [group_commit] (default
-    true) batches durable-write acknowledgements behind shared fsyncs. *)
+    forget a rebalance it already installed. *)
 
 val spawn :
   ?port:int ->
-  ?config:Fbremote.Server.config ->
-  ?group_commit:bool ->
   dir:string ->
   self:int ->
   map:Shard_map.t ->
@@ -36,8 +33,6 @@ val spawn :
 
 val spawn_cluster :
   ?host:string ->
-  ?config:Fbremote.Server.config ->
-  ?group_commit:bool ->
   dirs:string list ->
   unit ->
   Fbremote.Procs.t list * Shard_map.t

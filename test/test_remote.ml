@@ -7,6 +7,8 @@ module Wire = Fbremote.Wire
 module Server = Fbremote.Server
 module Client = Fbremote.Client
 module Cid = Fbchunk.Cid
+module Persist = Fbpersist.Persist
+module Procs = Fbremote.Procs
 
 (* --- codecs --- *)
 
@@ -343,26 +345,12 @@ let test_idle_timeout () =
 
 (* --- the event loop's clock is injected, not wall time --- *)
 
-let spawn_server_now ?config ~now () =
-  let listen_fd = Server.listen ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
-      let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
-      (try ignore (Server.serve ~now ?config db listen_fd : Server.counters)
-       with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
-
 let with_server_now ?config ~now f =
-  let port, pid = spawn_server_now ?config ~now () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] pid))
-    (fun () -> f port)
+  Testnet.with_proc
+    (Procs.spawn (fun listen_fd ->
+         let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
+         ignore (Server.serve ~now ?config db listen_fd : Server.counters)))
+    f
 
 (* With a frozen clock, no amount of real elapsed time ages a
    connection: idle reaping must be driven by the injected time source
@@ -414,53 +402,28 @@ let test_stepping_clock_reaps () =
 
 (* --- group commit: batched acks over a durable store --- *)
 
-module Persist = Fbpersist.Persist
-module Procs = Fbremote.Procs
-
-let spawn_group_commit_server ~dir () =
-  let listen_fd = Server.listen ~port:0 () in
-  let port = Server.bound_port listen_fd in
-  match Unix.fork () with
-  | 0 ->
-      let p = Persist.open_db ~journal_sync_every:1 dir in
-      Persist.set_deferred_sync p true;
-      (try
-         ignore
-           (Server.serve
-              ~group_commit:(fun () -> Persist.sync p)
-              (Persist.db p) listen_fd
-             : Server.counters)
-       with _ -> ());
-      (try Persist.close p with _ -> ());
-      Unix._exit 0
-  | pid ->
-      Unix.close listen_fd;
-      (port, pid)
-
+(* Concurrent writers against the primary `forkbase serve` runs
+   ([Replica.serve_primary]): every ack is released by a shared fsync,
+   and every acknowledged write survives a reopen. *)
 let test_group_commit () =
   Procs.with_temp_dir @@ fun dir ->
-  let port, server_pid = spawn_group_commit_server ~dir () in
+  let server = Fbreplica.Proc.spawn_primary ~dir () in
+  Fun.protect ~finally:(fun () -> Procs.kill server) @@ fun () ->
+  let port = Procs.port server in
   let writers = 4 and puts_each = 25 in
-  let pids =
-    List.init writers (fun id ->
-        match Unix.fork () with
-        | 0 ->
-            (try
-               let c = Client.connect ~retries:20 ~port () in
-               for i = 1 to puts_each do
-                 let (_ : Cid.t) =
-                   Client.put c
-                     ~key:(Printf.sprintf "w%d" id)
-                     (Wire.Str (Printf.sprintf "v%d" i))
-                 in
-                 ()
-               done;
-               Client.close c
-             with _ -> ());
-            Unix._exit 0
-        | pid -> pid)
-  in
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+  Bench_util.fork_workers writers
+    (fun id ->
+      let c = Client.connect ~retries:20 ~port () in
+      for i = 1 to puts_each do
+        let (_ : Cid.t) =
+          Client.put c
+            ~key:(Printf.sprintf "w%d" id)
+            (Wire.Str (Printf.sprintf "v%d" i))
+        in
+        ()
+      done;
+      Client.close c)
+    ();
   let c = Client.connect ~retries:20 ~port () in
   let s = Client.stats c in
   let total = writers * puts_each in
@@ -472,7 +435,7 @@ let test_group_commit () =
     (s.Wire.group_commits <= s.Wire.acks_released);
   Client.quit_server c;
   Client.close c;
-  ignore (Unix.waitpid [] server_pid);
+  Procs.reap server;
   (* every acknowledged write is on disk *)
   let p = Persist.open_db dir in
   let db = Persist.db p in

@@ -175,6 +175,36 @@ let test_dispatcher_basic_ops () =
 
 (* --- crash / restart --- *)
 
+(* Every shard serves through the durable primary path, so concurrent
+   durable writes are group-committed: summed over the shards, each
+   put's ack was released by a shared fsync, and no more fsyncs ran
+   than acks were released. *)
+let test_shard_group_commit () =
+  Testnet.with_cluster 2 (fun _dirs _procs map ->
+      let writers = 4 and puts_each = 25 in
+      Bench_util.fork_workers writers
+        (fun w ->
+          let d = Dispatch.of_map map in
+          for i = 1 to puts_each do
+            let (_ : Fbchunk.Cid.t) =
+              Dispatch.put d
+                ~key:(Printf.sprintf "w%d-key-%d" w i)
+                (Wire.Str (string_of_int i))
+            in
+            ()
+          done;
+          Dispatch.close d)
+        ();
+      Testnet.with_dispatcher map (fun d ->
+          let stats = Dispatch.stats d in
+          let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+          let acks = sum (fun s -> s.Wire.acks_released) in
+          let syncs = sum (fun s -> s.Wire.group_commits) in
+          Alcotest.(check int) "every put's ack released by a group commit"
+            (writers * puts_each) acks;
+          Alcotest.(check bool) "1 <= group_commits <= acks_released" true
+            (1 <= syncs && syncs <= acks)))
+
 let test_shard_kill_restart () =
   Testnet.with_cluster 2 (fun dirs procs map ->
       Testnet.with_dispatcher map (fun d ->
@@ -293,6 +323,7 @@ let () =
       ( "dispatcher",
         [
           Alcotest.test_case "basic ops" `Quick test_dispatcher_basic_ops;
+          Alcotest.test_case "group commit" `Quick test_shard_group_commit;
         ] );
       ( "faults",
         [
