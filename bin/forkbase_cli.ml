@@ -77,22 +77,15 @@ let or_die = function
       Printf.eprintf "error: %s\n" (Db.error_to_string e);
       exit 1
 
-let parse_host_port s =
-  match String.rindex_opt s ':' with
-  | Some i -> (
-      let host = String.sub s 0 i in
-      let port = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt port with
-      | Some port when host <> "" -> (host, port)
-      | _ ->
-          Printf.eprintf "error: expected HOST:PORT, got %S\n" s;
-          exit 2)
-  | None ->
-      Printf.eprintf "error: expected HOST:PORT, got %S\n" s;
+let die_bad_map f =
+  match f () with
+  | v -> v
+  | exception Shard_map.Bad_map reason ->
+      Printf.eprintf "error: %s\n" reason;
       exit 2
 
 let with_dispatcher via f =
-  let host, port = parse_host_port via in
+  let host, port = die_bad_map (fun () -> Shard_map.parse_addr via) in
   match Dispatch.connect ~host ~port () with
   | exception Dispatch.Unroutable reason ->
       Printf.eprintf "error: %s\n" reason;
@@ -384,7 +377,9 @@ let of_arg =
 
 let follow_cmd =
   let run primary port config =
-    let host, primary_port = parse_host_port primary in
+    let host, primary_port =
+      die_bad_map (fun () -> Shard_map.parse_addr primary)
+    in
     let f =
       Fbreplica.Replica.open_follower ~dir:(data_dir ()) ~host
         ~port:primary_port ()
@@ -435,7 +430,9 @@ let replication_status_cmd =
     match primary with
     | None -> ()
     | Some primary ->
-        let host, pport = parse_host_port primary in
+        let host, pport =
+          die_bad_map (fun () -> Shard_map.parse_addr primary)
+        in
         let c = Fbremote.Client.connect ~host ~port:pport () in
         Fun.protect ~finally:(fun () -> Fbremote.Client.close c) @@ fun () ->
         let seq = (Fbremote.Client.stats c).Fbremote.Wire.journal_seq in
@@ -537,13 +534,6 @@ let lint_cmd =
 
 (* --- sharded serving: shard processes and rebalance --- *)
 
-let die_bad_map f =
-  match f () with
-  | v -> v
-  | exception Shard_map.Bad_map reason ->
-      Printf.eprintf "error: %s\n" reason;
-      exit 2
-
 let shard_cmd =
   let run index map_str port =
     let addrs = die_bad_map (fun () -> Shard_map.parse_addrs map_str) in
@@ -643,7 +633,7 @@ let cluster_status_cmd =
 
 let cluster_add_cmd =
   let run via addr =
-    let host, port = parse_host_port addr in
+    let host, port = die_bad_map (fun () -> Shard_map.parse_addr addr) in
     with_dispatcher via @@ fun d ->
     match Dispatch.add_shard d ~host ~port with
     | moved ->

@@ -84,8 +84,3 @@ let verify_chain t =
 let read_latencies t = Array.of_list (List.rev t.reads)
 let write_latencies t = Array.of_list (List.rev t.writes)
 let commit_latencies t = Array.of_list (List.rev t.commits)
-
-let reset_latencies t =
-  t.reads <- [];
-  t.writes <- [];
-  t.commits <- []

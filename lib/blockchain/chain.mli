@@ -30,4 +30,3 @@ val backend : t -> Backend.t
 val read_latencies : t -> float array
 val write_latencies : t -> float array
 val commit_latencies : t -> float array
-val reset_latencies : t -> unit

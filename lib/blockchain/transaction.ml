@@ -32,5 +32,3 @@ let digest_batch txns =
 let of_ycsb ~contract = function
   | Workload.Ycsb.Read k -> { contract; op = Get k }
   | Workload.Ycsb.Update (k, v) -> { contract; op = Put (k, v) }
-
-let is_write t = match t.op with Put _ -> true | Get _ -> false

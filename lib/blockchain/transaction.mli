@@ -9,4 +9,3 @@ val encode : Buffer.t -> t -> unit
 val decode : Fbutil.Codec.reader -> t
 val digest_batch : t list -> string
 val of_ycsb : contract:string -> Workload.Ycsb.op -> t
-val is_write : t -> bool

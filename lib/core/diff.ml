@@ -38,12 +38,6 @@ let diff_values left right =
         (Type_mismatch
            (Value.kind_to_string (Value.kind l), Value.kind_to_string (Value.kind r)))
 
-let is_equal = function
-  | Prim_diff { equal; _ } | Blob_diff { equal; _ } | List_diff { equal; _ } ->
-      equal
-  | Map_diff changes -> changes = []
-  | Set_diff changes -> changes = []
-
 let summary = function
   | Prim_diff { equal = true; _ } -> "primitive values are equal"
   | Prim_diff _ -> "primitive values differ"

@@ -26,7 +26,6 @@ exception Type_mismatch of string * string
 (** Raised with the two value kinds when they differ. *)
 
 val diff_values : Fbtypes.Value.t -> Fbtypes.Value.t -> t
-val is_equal : t -> bool
 val summary : t -> string
 (** One-line human description ("3 keys differ", "regions of 120/123
     bytes differ", …). *)

@@ -1,63 +1,38 @@
 module Cid = Fbchunk.Cid
 module Store = Fbchunk.Chunk_store
-module Value = Fbtypes.Value
 
-(* Mark phase: from every branch head, walk the derivation DAG; for each
-   version, mark its meta chunk and every chunk of its value tree. *)
-let reachable db =
+(* Mark and visit in one pass: walk the closure of every tagged and
+   untagged head through the local store, calling [f] on each live chunk;
+   returns [(live_chunks, live_bytes)].  Missing cids are skipped. *)
+let visit_live db f =
   let store = Db.store db in
-  let cfg = Db.cfg db in
-  let marked = ref Cid.Set.empty in
-  let mark cid = marked := Cid.Set.add cid !marked in
-  let rec walk_version uid =
-    if not (Cid.Set.mem uid !marked) then begin
-      mark uid;
-      match Fobject.load store uid with
-      | None -> ()
-      | Some obj ->
-          (match Fobject.value store cfg obj with
-          | Value.Prim _ -> ()
-          | Value.Blob b -> Fbtypes.Fblob.iter_chunks b mark
-          | Value.List l -> Fbtypes.Flist.iter_chunks l mark
-          | Value.Map m -> Fbtypes.Fmap.iter_chunks m mark
-          | Value.Set s -> Fbtypes.Fset.iter_chunks s mark
-          | exception Store.Missing_chunk _ -> ());
-          List.iter walk_version obj.Fobject.bases
-    end
-  in
-  List.iter
-    (fun key ->
-      List.iter (fun (_, head) -> walk_version head) (Db.list_tagged_branches db ~key);
-      List.iter walk_version (Db.list_untagged_branches db ~key))
-    (Db.list_keys db);
-  !marked
-
-let sweep db ~into =
-  let store = Db.store db in
-  let live = reachable db in
   let chunks = ref 0 and bytes = ref 0 in
-  Cid.Set.iter
-    (fun cid ->
-      match store.Store.get cid with
-      | Some chunk ->
-          let (_ : Cid.t) = into.Store.put chunk in
-          incr chunks;
-          bytes := !bytes + Fbchunk.Chunk.byte_size chunk
-      | None -> ())
-    live;
+  let fetch cids =
+    List.filter_map
+      (fun cid ->
+        match store.Store.get cid with
+        | Some chunk ->
+            f chunk;
+            incr chunks;
+            bytes := !bytes + Fbchunk.Chunk.byte_size chunk;
+            Some (cid, chunk)
+        | None -> None)
+      cids
+  in
+  let heads =
+    List.concat_map
+      (fun key ->
+        List.map snd (Db.list_tagged_branches db ~key)
+        @ Db.list_untagged_branches db ~key)
+      (Db.list_keys db)
+  in
+  let (_ : Cid.t list) = Closure.walk ~fetch heads in
   (!chunks, !bytes)
 
+let sweep db ~into =
+  visit_live db (fun chunk -> ignore (into.Store.put chunk : Cid.t))
+
 let garbage_stats db =
-  let store = Db.store db in
-  let live = reachable db in
-  let live_chunks = ref 0 and live_bytes = ref 0 in
-  Cid.Set.iter
-    (fun cid ->
-      match store.Store.get cid with
-      | Some chunk ->
-          incr live_chunks;
-          live_bytes := !live_bytes + Fbchunk.Chunk.byte_size chunk
-      | None -> ())
-    live;
-  let stats = store.Store.stats () in
-  (stats.Store.chunks - !live_chunks, stats.Store.bytes - !live_bytes)
+  let live_chunks, live_bytes = visit_live db ignore in
+  let stats = (Db.store db).Store.stats () in
+  (stats.Store.chunks - live_chunks, stats.Store.bytes - live_bytes)

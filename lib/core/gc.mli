@@ -8,10 +8,8 @@
     are removed ([Remove], M14) or untagged heads are merged away.
 
     [sweep] copies the live set into a fresh store — the natural collection
-    strategy for a log-structured layout (write a compacted log, swap). *)
-
-val reachable : Db.t -> Fbchunk.Cid.Set.t
-(** All cids reachable from the database's branch tables. *)
+    strategy for a log-structured layout (write a compacted log, swap).
+    Reachability is {!Closure.walk} over the local store. *)
 
 val sweep : Db.t -> into:Fbchunk.Chunk_store.t -> int * int
 (** Copy every reachable chunk into [into]; returns

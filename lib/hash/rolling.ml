@@ -261,7 +261,6 @@ type any = {
   a_reset : unit -> unit;
   a_roll : char -> unit;
   a_value : unit -> int;
-  a_filled : unit -> bool;
   a_feed_detect : string -> chunk_size_before:int -> min_size:int -> mask:int -> bool;
   a_find_boundary :
     string ->
@@ -278,7 +277,6 @@ let wrap (type a) (module M : S with type t = a) (t : a) =
     a_reset = (fun () -> M.reset t);
     a_roll = (fun c -> M.roll t c);
     a_value = (fun () -> M.value t);
-    a_filled = (fun () -> M.filled t);
     a_feed_detect = M.feed_detect t;
     a_find_boundary = M.find_boundary t;
   }
@@ -292,7 +290,6 @@ let any kind ~window =
 let any_reset a = a.a_reset ()
 let any_roll a c = a.a_roll c
 let any_value a = a.a_value ()
-let any_filled a = a.a_filled ()
 
 let any_feed_detect a s ~chunk_size_before ~min_size ~mask =
   a.a_feed_detect s ~chunk_size_before ~min_size ~mask

@@ -68,7 +68,6 @@ val any : kind -> window:int -> any
 val any_reset : any -> unit
 val any_roll : any -> char -> unit
 val any_value : any -> int
-val any_filled : any -> bool
 
 val any_feed_detect :
   any -> string -> chunk_size_before:int -> min_size:int -> mask:int -> bool

@@ -32,5 +32,3 @@ let mem t key =
     i >= hashes || (get_bit t (abs (h1 + (i * h2)) mod t.nbits) && go (i + 1))
   in
   go 0
-
-let bit_size t = t.nbits

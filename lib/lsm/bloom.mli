@@ -10,4 +10,3 @@ val add : t -> string -> unit
 val mem : t -> string -> bool
 (** No false negatives; ~1% false positives at the design load. *)
 
-val bit_size : t -> int

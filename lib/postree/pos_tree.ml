@@ -15,14 +15,49 @@ module type ELEM = sig
   val index_tag : Fbchunk.Chunk.tag
 end
 
+(* A reference to a child chunk, as stored in index nodes.  [count] is the
+   number of elements in the subtree, [span] the number of entries in the
+   child chunk itself, [last_key] the largest key in the subtree (empty
+   for positional containers). *)
+type chunk_ref = { cid : Cid.t; count : int; span : int; last_key : string }
+
+(* The index-node payload format, shared by every element type: the one
+   encoder and the one parser outside the verifier (lib/check/fsck). *)
+let encode_index_payload entries =
+  let payload = Buffer.create 1024 in
+  Codec.varint payload (List.length entries);
+  List.iter
+    (fun e ->
+      Codec.raw payload (Cid.to_raw e.cid);
+      Codec.varint payload e.count;
+      Codec.varint payload e.span;
+      Codec.string payload e.last_key)
+    entries;
+  Buffer.contents payload
+
+let decode_index chunk =
+  let r = Codec.reader chunk.Chunk.payload in
+  let n = Codec.read_varint r in
+  (* every entry takes at least one byte: reject a count the payload
+     cannot hold before allocating for it *)
+  if n < 0 || n > String.length chunk.Chunk.payload then
+    raise (Codec.Corrupt "implausible index entry count");
+  let a = Array.make n { cid = Cid.null; count = 0; span = 0; last_key = "" } in
+  for i = 0 to n - 1 do
+    let cid = Cid.of_raw (Codec.read_raw r 32) in
+    let count = Codec.read_varint r in
+    let span = Codec.read_varint r in
+    let last_key = Codec.read_string r in
+    a.(i) <- { cid; count; span; last_key }
+  done;
+  Codec.expect_end r;
+  a
+
+let index_children chunk =
+  Array.fold_right (fun r acc -> r.cid :: acc) (decode_index chunk) []
+
 module Make (E : ELEM) = struct
   type elem = E.t
-
-  (* A reference to a child chunk, as stored in index nodes.  [count] is the
-     number of elements in the subtree, [span] the number of entries in the
-     child chunk itself, [last_key] the largest key in the subtree (empty
-     for positional containers). *)
-  type chunk_ref = { cid : Cid.t; count : int; span : int; last_key : string }
 
   type t = {
     store : Store.t;
@@ -59,32 +94,6 @@ module Make (E : ELEM) = struct
       Codec.expect_end r;
       a
     end
-
-  let encode_index_payload entries =
-    let payload = Buffer.create 1024 in
-    Codec.varint payload (List.length entries);
-    List.iter
-      (fun e ->
-        Codec.raw payload (Cid.to_raw e.cid);
-        Codec.varint payload e.count;
-        Codec.varint payload e.span;
-        Codec.string payload e.last_key)
-      entries;
-    Buffer.contents payload
-
-  let decode_index chunk =
-    let r = Codec.reader chunk.Chunk.payload in
-    let n = Codec.read_varint r in
-    let a = Array.make n { cid = Cid.null; count = 0; span = 0; last_key = "" } in
-    for i = 0 to n - 1 do
-      let cid = Cid.of_raw (Codec.read_raw r 32) in
-      let count = Codec.read_varint r in
-      let span = Codec.read_varint r in
-      let last_key = Codec.read_string r in
-      a.(i) <- { cid; count; span; last_key }
-    done;
-    Codec.expect_end r;
-    a
 
   (* ------------------------------------------------------------------ *)
   (* Builders.  Both builders cut on a content-defined pattern and reset
@@ -903,14 +912,6 @@ module Make (E : ELEM) = struct
   let iter_cids t f =
     Array.iter (fun level -> Array.iter (fun r -> f r.cid) level) t.levels
   let chunk_count t = Array.fold_left (fun s l -> s + Array.length l) 0 t.levels
-
-  let stored_bytes t =
-    Array.fold_left
-      (fun acc level ->
-        Array.fold_left
-          (fun acc r -> acc + Chunk.byte_size (Store.get_exn t.store r.cid))
-          acc level)
-      0 t.levels
 
   let verify t =
     try

@@ -34,6 +34,11 @@ module type ELEM = sig
   val index_tag : Fbchunk.Chunk.tag
 end
 
+val index_children : Fbchunk.Chunk.t -> Fbchunk.Cid.t list
+(** The child cids of an index node ([UIndex] or [SIndex] chunk), in
+    order — decoded by the same parser the trees themselves use.
+    @raise Fbutil.Codec.Corrupt on a malformed index payload. *)
+
 module Make (E : ELEM) : sig
   type t
   (** Immutable handle: all update operations return a new tree sharing
@@ -157,9 +162,6 @@ module Make (E : ELEM) : sig
 
   val chunk_count : t -> int
   (** Total chunks (leaves + index nodes) reachable from the root. *)
-
-  val stored_bytes : t -> int
-  (** Serialized size of all reachable chunks (no dedup accounting). *)
 
   val verify : t -> bool
   (** Re-hash every reachable chunk against the cid that references it —

@@ -60,10 +60,12 @@ let call t req =
   | Socket fd -> (
       match
         Wire.write_frame fd (Wire.encode_request req);
-        Wire.read_frame fd
+        Option.map Wire.decode_response (Wire.read_frame fd)
       with
-      | Some frame -> Wire.decode_response frame
-      | None | (exception Wire.Connection_closed) -> raise Disconnected)
+      | Some resp -> resp
+      | None | (exception Wire.Connection_closed) -> raise Disconnected
+      | exception Fbutil.Codec.Corrupt msg ->
+          raise (Protocol_error ("bad response frame: " ^ msg)))
 
 let expect_ok name = function
   | Wire.Error msg -> raise (Remote_failure (name ^ ": " ^ msg))

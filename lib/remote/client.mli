@@ -33,8 +33,11 @@ exception Remote_failure of string
     ["call: server message"]. *)
 
 exception Protocol_error of string
-(** The response decoded but had the wrong shape for the request — a
-    protocol bug or a hostile peer, never a routine refusal. *)
+(** The response frame was over {!Wire.default_max_frame_bytes} or did
+    not decode, or it decoded but had the wrong shape for the request —
+    a protocol bug or a hostile peer, never a routine refusal.  After a
+    bad frame the socket may be stopped mid-frame: close the handle and
+    reconnect rather than reuse it. *)
 
 val connect :
   ?host:string ->
@@ -59,7 +62,9 @@ val close : t -> unit
 
 val call : t -> Wire.request -> Wire.response
 (** One request/response round trip.
-    @raise Disconnected if the server closed the connection. *)
+    @raise Disconnected if the server closed the connection.
+    @raise Protocol_error on an oversized or undecodable response
+           frame. *)
 
 (** Typed conveniences.
     @raise Remote_failure on an [Error] response
@@ -102,7 +107,8 @@ val pull_journal : t -> from_seq:int -> int * string list
 
 val fetch_chunks : t -> Fbchunk.Cid.t list -> string list
 (** Replication backfill: the encoded chunks for the requested cids that
-    the server holds (absent cids are silently omitted). *)
+    the server holds, in request order (absent cids are silently
+    omitted, and the answer is cut after {!Server.max_fetch_bytes}). *)
 
 val get_map : t -> Wire.shard_map
 (** The shard's installed partition map. *)
@@ -114,7 +120,8 @@ val set_map : t -> Wire.shard_map -> unit
 
 val push_chunks : t -> string list -> unit
 (** Store encoded chunks on the shard (at most
-    {!Server.max_fetch_chunks} per call); idempotent under content
+    {!Server.max_fetch_chunks} per call, and within the frame limit —
+    one {!fetch_chunks} answer fits); idempotent under content
     addressing. *)
 
 val restore_branch : t -> key:string -> branch:string -> Fbchunk.Cid.t -> unit

@@ -113,7 +113,8 @@ type journal_hooks = {
       (* encoded entries after from_seq, batch-bounded by the provider *)
 }
 
-let max_fetch_chunks = 512
+let max_fetch_chunks = Forkbase.Closure.max_batch
+let max_fetch_bytes = 1 lsl 20
 
 (* [checkpoint] is provided when the db is backed by a durable store
    (lib/persist): it runs checkpoint + compaction and returns the
@@ -208,21 +209,28 @@ let handle ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
           Wire.Journal_batch
             { primary_seq = j.j_seq (); entries = j.j_pull ~from_seq })
   | Wire.Fetch_chunks { cids } ->
-      (* Answer with what the store holds; absent cids are silently
-         omitted (they may have been compacted away — the puller re-pulls
-         and bootstraps from the checkpoint instead).  The request size is
-         capped to keep the response under the frame limit. *)
+      (* Answer with what the store holds, in request order; absent cids
+         are silently omitted (they may have been compacted away — the
+         puller re-pulls and bootstraps from the checkpoint instead).  The
+         answer stops growing once it passes [max_fetch_bytes], so it
+         stays far under the frame limit; the puller's closure walk asks
+         again for what was left out. *)
       if List.length cids > max_fetch_chunks then
         Wire.Error
           (Printf.sprintf "fetch_chunks: at most %d cids per request"
              max_fetch_chunks)
       else
         let store = Db.store db in
-        Wire.Chunks
-          (List.filter_map
-             (fun cid ->
-               Option.map Fbchunk.Chunk.encode (store.Fbchunk.Chunk_store.get cid))
-             cids)
+        let rec answer bytes acc = function
+          | cid :: rest when bytes < max_fetch_bytes -> (
+              match store.Fbchunk.Chunk_store.get cid with
+              | Some chunk ->
+                  let enc = Fbchunk.Chunk.encode chunk in
+                  answer (bytes + String.length enc) (enc :: acc) rest
+              | None -> answer bytes acc rest)
+          | _ -> List.rev acc
+        in
+        Wire.Chunks (answer 0 [] cids)
   | Wire.Get_map -> (
       match shard with
       | None -> Wire.Error "get_map: server is not a shard"

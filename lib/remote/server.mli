@@ -72,8 +72,15 @@ type journal_hooks = {
 
 val max_fetch_chunks : int
 (** Upper bound on cids per [Fetch_chunks] request — and on chunks per
-    [Push_chunks] request — (512); larger requests are answered with an
-    [Error] so a response cannot blow the frame limit. *)
+    [Push_chunks] request — ({!Forkbase.Closure.max_batch}, 512); larger
+    requests are answered with an [Error]. *)
+
+val max_fetch_bytes : int
+(** Byte budget of a [Fetch_chunks] answer (1 MiB): the server stops
+    adding chunks once the encoded chunks pass it, but always returns at
+    least one held chunk, so an answer stays under
+    {!Wire.default_max_frame_bytes} whatever the chunk sizes.  The
+    requester re-asks for the cids left out. *)
 
 type shard_role
 (** Makes a server one shard of a partitioned cluster: key-addressed

@@ -1,7 +1,5 @@
-module Cid = Fbchunk.Cid
 module Chunk = Fbchunk.Chunk
 module Store = Fbchunk.Chunk_store
-module Codec = Fbutil.Codec
 module Journal = Fbpersist.Journal
 module Persist = Fbpersist.Persist
 module Client = Fbremote.Client
@@ -70,36 +68,33 @@ let drop_conn t =
 
    A journal entry may only be applied once every chunk its records
    reference — transitively — is locally resolvable, or the follower
-   would accept a branch head it cannot read.  The closure is walked
-   from the record roots; present chunks are read locally (so a crash
-   that persisted a parent without its children self-heals on the next
-   sync), absent ones are fetched from the primary in bounded batches. *)
+   would accept a branch head it cannot read.  The closure walk asks the
+   local store first, so it descends through chunks already present (a
+   crash that persisted a parent without its children self-heals on the
+   next sync); the rest is fetched from the primary and stored. *)
 
-let chunk_children (chunk : Chunk.t) =
-  match chunk.Chunk.tag with
-  | Chunk.Meta ->
-      let obj = Forkbase.Fobject.of_chunk chunk in
-      let root =
-        match obj.Forkbase.Fobject.kind with
-        | Fbtypes.Value.Kprim -> []
-        | _ -> [ Cid.of_raw obj.Forkbase.Fobject.data ]
-      in
-      obj.Forkbase.Fobject.bases @ root
-  | Chunk.UIndex | Chunk.SIndex ->
-      let r = Codec.reader chunk.Chunk.payload in
-      let n = Codec.read_varint r in
-      if n < 0 || n > String.length chunk.Chunk.payload then
-        raise (Codec.Corrupt "implausible index entry count");
-      let acc = ref [] in
-      for _ = 1 to n do
-        let cid = Cid.of_raw (Codec.read_raw r 32) in
-        let _count = Codec.read_varint r in
-        let _span = Codec.read_varint r in
-        let _last_key = Codec.read_string r in
-        acc := cid :: !acc
-      done;
-      List.rev !acc
-  | Chunk.Blob | Chunk.List | Chunk.Set | Chunk.Map -> []
+let fetch_through t cids =
+  let store = Forkbase.Db.store (Persist.db t.persist) in
+  let local, absent =
+    List.partition_map
+      (fun cid ->
+        match store.Store.get cid with
+        | Some chunk -> Either.Left (cid, chunk)
+        | None -> Either.Right cid)
+      cids
+  in
+  let fetched =
+    match absent with
+    | [] -> []
+    | _ ->
+        List.map
+          (fun enc ->
+            let chunk = Chunk.decode enc in
+            t.chunks_fetched <- t.chunks_fetched + 1;
+            (store.Store.put chunk, chunk))
+          (Client.fetch_chunks (conn t) absent)
+  in
+  local @ fetched
 
 (* Closure roots of one journal record.  For a checkpoint snapshot only
    the branch heads are roots: [snap_known] may reference versions the
@@ -125,39 +120,6 @@ exception Stale_batch
    Drop the rest of the batch — the next pull yields the checkpoint
    snapshot that superseded them. *)
 
-let fetch_closure t roots =
-  let store = Forkbase.Db.store (Persist.db t.persist) in
-  let seen = Cid.Tbl.create 64 in
-  let pending = Queue.create () in
-  let rec visit cid =
-    if not (Cid.Tbl.mem seen cid) then begin
-      Cid.Tbl.add seen cid ();
-      match store.Store.get cid with
-      | Some chunk -> List.iter visit (chunk_children chunk)
-      | None -> Queue.add cid pending
-    end
-  in
-  List.iter visit roots;
-  while not (Queue.is_empty pending) do
-    let batch = ref [] in
-    while
-      (not (Queue.is_empty pending))
-      && List.length !batch < Server.max_fetch_chunks
-    do
-      batch := Queue.pop pending :: !batch
-    done;
-    let batch = List.rev !batch in
-    let encoded = Client.fetch_chunks (conn t) batch in
-    if List.length encoded <> List.length batch then raise Stale_batch;
-    List.iter
-      (fun enc ->
-        let chunk = Chunk.decode enc in
-        ignore (store.Store.put chunk);
-        t.chunks_fetched <- t.chunks_fetched + 1;
-        List.iter visit (chunk_children chunk))
-      encoded
-  done
-
 let sync_step t =
   match
     let c = conn t in
@@ -173,7 +135,11 @@ let sync_step t =
            (fun body ->
              let seq, records = Journal.decode_entry body in
              if seq > Persist.journal_seq t.persist then begin
-               fetch_closure t (List.concat_map record_roots records);
+               if
+                 Forkbase.Closure.walk ~fetch:(fetch_through t)
+                   (List.concat_map record_roots records)
+                 <> []
+               then raise Stale_batch;
                Persist.apply_replicated t.persist ~seq records;
                incr applied;
                t.entries_applied <- t.entries_applied + 1
@@ -189,6 +155,9 @@ let sync_step t =
       | Unix.Unix_error _ | Wire.Connection_closed ) ->
       drop_conn t;
       Primary_gone
+  | exception (Client.Protocol_error _ as e) ->
+      drop_conn t;
+      raise e
 
 exception Not_converging
 exception Primary_unreachable

@@ -8,9 +8,10 @@
     loop:
 
     + pull the journal tail after the local sequence;
-    + for each entry, walk the chunk closure its records reference and
-      fetch every absent chunk from the primary ({e before} applying, so
-      the local store never holds a head it cannot resolve);
+    + for each entry, walk the chunk closure its records reference
+      ({!Forkbase.Closure.walk}, local store first) and fetch every
+      absent chunk from the primary ({e before} applying, so the local
+      store never holds a head it cannot resolve);
     + apply the entry with {!Fbpersist.Persist.apply_replicated}, which
       journals it locally under the primary's sequence number.
 
@@ -67,8 +68,8 @@ val sync_step : t -> progress
     {!Fbremote.Client.Disconnected}, [Unknown_host], [Remote_failure]
     and socket errors); fault-injection exceptions from a [wrap_store]
     ({!Fbchunk.Chunk_store.Injected_fault}), protocol violations
-    ({!Fbremote.Client.Protocol_error}) and local corruption do
-    propagate. *)
+    ({!Fbremote.Client.Protocol_error}, after dropping the connection)
+    and local corruption do propagate. *)
 
 exception Not_converging
 (** {!sync_until_caught_up} ran out of rounds while the primary kept
@@ -144,14 +145,6 @@ val journal_hooks : Fbpersist.Persist.t -> Fbremote.Server.journal_hooks
 val pull_batch : int
 (** Entries per [Pull_journal] response (256) — bounds response frames
     and keeps a catch-up follower's memory footprint flat. *)
-
-val chunk_children : Fbchunk.Chunk.t -> Fbchunk.Cid.t list
-(** The cids a chunk references directly: a meta chunk's bases + value
-    root, a POS-Tree index node's children, nothing for leaves.  Walking
-    it from a branch head enumerates the head's whole closure — the
-    follower backfill uses it, and the shard rebalancer (lib/shard)
-    reuses it to copy a key's chunks between shards.
-    @raise Fbutil.Codec.Corrupt on an implausible index payload. *)
 
 val serve :
   ?config:Fbremote.Server.config ->

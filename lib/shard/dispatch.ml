@@ -1,9 +1,6 @@
 module Wire = Fbremote.Wire
 module Client = Fbremote.Client
-module Server = Fbremote.Server
 module Chunk = Fbchunk.Chunk
-module Cid = Fbchunk.Cid
-module Replica = Fbreplica.Replica
 
 exception Unroutable of string
 exception Rebalance_failed of string
@@ -40,6 +37,16 @@ let conn t i =
       let c = Client.connect ~host ~port ~retries:t.conn_retries () in
       Hashtbl.replace t.conns i c;
       c
+
+(* Run [f] on shard [i]'s cached connection.  A [Protocol_error] may
+   leave the socket mid-frame, so the connection is dropped and the next
+   use reconnects. *)
+let on_shard t i f =
+  match f (conn t i) with
+  | r -> r
+  | exception (Client.Protocol_error _ as e) ->
+      drop_conn t i;
+      raise e
 
 (* Adopt [m] if it is fresher than what we hold, dropping cached
    connections whose index no longer points at the same address. *)
@@ -167,6 +174,9 @@ let with_route t ~key req =
           drop_conn t owner;
           Unix.sleepf delay;
           attempt (left - 1) grown
+      | exception (Client.Protocol_error _ as e) ->
+          drop_conn t owner;
+          raise e
   in
   attempt t.route_retries t.backoff
 
@@ -175,7 +185,7 @@ let with_route t ~key req =
 let list_keys t =
   let acc = ref [] in
   for i = 0 to Shard_map.n t.map - 1 do
-    acc := Client.list_keys (conn t i) @ !acc
+    acc := on_shard t i Client.list_keys @ !acc
   done;
   List.sort_uniq String.compare !acc
 
@@ -208,7 +218,7 @@ let merge ?resolver t ~key ~target ~ref_branch =
   Client.merge ?resolver (client t) ~key ~target ~ref_branch
 
 let stats t =
-  List.init (Shard_map.n t.map) (fun i -> Client.stats (conn t i))
+  List.init (Shard_map.n t.map) (fun i -> on_shard t i Client.stats)
 
 let quit_all t =
   for i = 0 to Shard_map.n t.map - 1 do
@@ -218,106 +228,6 @@ let quit_all t =
     drop_conn t i
   done;
   close t
-
-(* ------------------------------------------------------------------ *)
-(* Chunk movement for the rebalancer: closure pulls and batched
-   pushes. *)
-
-(* Batch caps: the request count cap mirrors [Server.max_fetch_chunks];
-   the byte cap keeps a batch of large blob leaves far under the 4 MiB
-   frame limit. *)
-let batch_chunks = Server.max_fetch_chunks
-let batch_bytes = 1 lsl 20
-
-let push_chunks_batched t ~dst encs =
-  let flush batch =
-    match batch with
-    | [] -> ()
-    | _ -> Client.push_chunks (conn t dst) (List.rev batch)
-  in
-  let batch, _, _ =
-    List.fold_left
-      (fun (batch, n, bytes) enc ->
-        let sz = String.length enc in
-        if n + 1 > batch_chunks || (bytes + sz > batch_bytes && n > 0) then begin
-          flush batch;
-          ([ enc ], 1, sz)
-        end
-        else (enc :: batch, n + 1, bytes + sz))
-      ([], 0, 0) encs
-  in
-  flush batch
-
-(* Fetch [cids] from shard [src], the key's old owner, which holds the
-   key's whole chunk closure.  Returns decoded chunks paired with their
-   encodings; raises [Rebalance_failed] if [src] is unreachable or lacks
-   any cid. *)
-let fetch_chunks t ~src cids =
-  let want = Cid.Tbl.create (List.length cids) in
-  List.iter (fun cid -> Cid.Tbl.replace want cid ()) cids;
-  let encs =
-    match Client.fetch_chunks (conn t src) cids with
-    | encs -> encs
-    | exception (Client.Disconnected | Wire.Connection_closed) ->
-        drop_conn t src;
-        []
-    | exception Unix.Unix_error _ ->
-        drop_conn t src;
-        []
-  in
-  let got =
-    List.filter_map
-      (fun enc ->
-        let chunk = Chunk.decode enc in
-        let cid = Chunk.cid chunk in
-        if Cid.Tbl.mem want cid then begin
-          Cid.Tbl.remove want cid;
-          Some (chunk, enc)
-        end
-        else None)
-      encs
-  in
-  if Cid.Tbl.length want > 0 then
-    raise
-      (Rebalance_failed
-         (Printf.sprintf "%d chunks unresolvable from shard %d"
-            (Cid.Tbl.length want) src));
-  got
-
-(* The whole closure of [roots] (meta bases + POS-Tree children, via
-   {!Fbreplica.Replica.chunk_children}), as encoded chunks, fetched in
-   bounded batches. *)
-let pull_closure t ~src roots =
-  let seen = Cid.Tbl.create 256 in
-  let frontier = Queue.create () in
-  List.iter
-    (fun cid ->
-      if not (Cid.Tbl.mem seen cid) then begin
-        Cid.Tbl.replace seen cid ();
-        Queue.push cid frontier
-      end)
-    roots;
-  let out = ref [] in
-  while not (Queue.is_empty frontier) do
-    let batch = ref [] in
-    let n = ref 0 in
-    while !n < batch_chunks && not (Queue.is_empty frontier) do
-      batch := Queue.pop frontier :: !batch;
-      incr n
-    done;
-    List.iter
-      (fun (chunk, enc) ->
-        out := enc :: !out;
-        List.iter
-          (fun child ->
-            if not (Cid.Tbl.mem seen child) then begin
-              Cid.Tbl.replace seen child ();
-              Queue.push child frontier
-            end)
-          (Replica.chunk_children chunk))
-      (fetch_chunks t ~src !batch)
-  done;
-  List.rev !out
 
 (* ------------------------------------------------------------------ *)
 (* Rebalance: grow the cluster by one shard with zero lost acknowledged
@@ -337,8 +247,10 @@ let pull_closure t ~src roots =
       (which still runs map v) — harmless, the copy reads from it after
       every shard is fenced, so those writes are carried over.
    3. Copy each moved key: branches from the old owner ([Export_key],
-      ownership-exempt), chunk closure via batched [Fetch_chunks], push
-      to the new owner, then [Restore_branch] per branch.
+      ownership-exempt), then its chunk closure walked with
+      {!Forkbase.Closure.walk} over [Fetch_chunks] on the old owner,
+      each answer pushed to the new owner as it arrives, then
+      [Restore_branch] per branch.
    4. Install map v+2 with an empty [pending] everywhere: fenced keys
       thaw on their new owner and every [Busy]-looping client retries
       through. *)
@@ -374,14 +286,46 @@ let install_map t m =
                   host port (Printexc.to_string e))))
     m.Shard_map.shards
 
+(* Walk the key's closure on [src], its old owner, pushing each fetched
+   answer to [dst] as it arrives (one answer is within the push limits),
+   then install the branch heads on [dst]. *)
 let copy_key t ~old_map ~new_map key =
   let src = Shard_map.owner old_map key in
   let dst = Shard_map.owner new_map key in
-  let branches = Client.export_key (conn t src) ~key in
-  let roots = List.map snd branches in
-  push_chunks_batched t ~dst (pull_closure t ~src roots);
+  let branches = on_shard t src (Client.export_key ~key) in
+  let fetch cids =
+    let encs =
+      match Client.fetch_chunks (conn t src) cids with
+      | encs -> encs
+      | exception
+          ((Client.Disconnected | Client.Protocol_error _
+           | Wire.Connection_closed | Unix.Unix_error _) as e) ->
+          drop_conn t src;
+          raise
+            (Rebalance_failed
+               (Printf.sprintf "fetch from shard %d: %s" src
+                  (Printexc.to_string e)))
+    in
+    let got =
+      List.map
+        (fun enc ->
+          let chunk = Chunk.decode enc in
+          (Chunk.cid chunk, chunk))
+        encs
+    in
+    if encs <> [] then on_shard t dst (fun c -> Client.push_chunks c encs);
+    got
+  in
+  (match Forkbase.Closure.walk ~fetch (List.map snd branches) with
+  | [] -> ()
+  | missing ->
+      raise
+        (Rebalance_failed
+           (Printf.sprintf "%d chunks unresolvable from shard %d"
+              (List.length missing) src)));
   List.iter
-    (fun (branch, uid) -> Client.restore_branch (conn t dst) ~key ~branch uid)
+    (fun (branch, uid) ->
+      on_shard t dst (fun c -> Client.restore_branch c ~key ~branch uid))
     branches
 
 let add_shard t ~host ~port =

@@ -8,7 +8,9 @@
     fenced mid-rebalance — back off and retry; a vanished shard is ridden
     out by reconnecting with bounded retries, which covers a SIGKILLed
     shard being respawned on its port.  All of it is bounded by a retry
-    budget; exhaustion raises {!Unroutable} instead of hanging.
+    budget; exhaustion raises {!Unroutable} instead of hanging.  A
+    shard's {!Fbremote.Client.Protocol_error} drops the cached
+    connection (the socket may be stopped mid-frame) and propagates.
 
     Placement is one-layer: a key's home shard stores the key's branch
     table and its whole chunk closure, so every shard's store is
@@ -113,6 +115,8 @@ val add_shard : t -> host:string -> port:int -> int
     map v+1 with the moved keys fenced on every shard (no shard accepts
     a fenced key, so no write can be acknowledged and then clobbered),
     copy each moved key's branches + chunk closure old-owner → new-owner
-    through the dispatcher, then install map v+2 with the fence lifted.
+    through the dispatcher ({!Forkbase.Closure.walk} over the old
+    owner's [Fetch_chunks], each answer pushed to the new owner as it
+    arrives), then install map v+2 with the fence lifted.
     Returns the number of keys moved.
     @raise Rebalance_failed on a half-completed step (safe to re-run). *)

@@ -37,7 +37,7 @@ let parse_addr s =
       let host = String.sub s 0 i in
       let port = String.sub s (i + 1) (String.length s - i - 1) in
       match int_of_string_opt port with
-      | Some p when p > 0 && host <> "" -> (host, p)
+      | Some p when p > 0 && p <= 65535 && host <> "" -> (host, p)
       | _ -> raise (Bad_map (Printf.sprintf "bad address %S (want HOST:PORT)" s)))
 
 let parse_addrs s =
@@ -56,8 +56,10 @@ let to_string t =
 (* --- on-disk persistence ---
 
    One binary file per shard directory so a SIGKILLed shard restarts with
-   the map it last installed.  Written via tmp + rename: readers see the
-   old map or the new one, never a torn write. *)
+   the map it last installed.  Written via tmp + fsync + rename + directory
+   fsync: readers see the old map or the new one, never a torn write, and
+   after a power loss the shard cannot come back on an older map that
+   gives it keys it no longer owns. *)
 
 let file_name = "shard.map"
 
@@ -65,8 +67,11 @@ let save ~dir t =
   let path = Filename.concat dir file_name in
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Wire.encode_shard_map t));
-  Sys.rename tmp path
+      Out_channel.output_string oc (Wire.encode_shard_map t);
+      Out_channel.flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
+  Sys.rename tmp path;
+  Fbpersist.Persist.fsync_dir dir
 
 let load ~dir =
   let path = Filename.concat dir file_name in

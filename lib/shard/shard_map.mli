@@ -31,7 +31,9 @@ val addr : t -> int -> string * int
 (** [(host, port)] of shard [i]. @raise Bad_map when out of range. *)
 
 val parse_addr : string -> string * int
-(** Parse ["HOST:PORT"]. @raise Bad_map on malformed input. *)
+(** Parse ["HOST:PORT"] with a non-empty host and a port in 1..65535 —
+    the one address parser, for the CLI's flags as well as [--map].
+    @raise Bad_map on malformed input. *)
 
 val parse_addrs : string -> (string * int) list
 (** Parse ["HOST:PORT,HOST:PORT,..."] (the CLI's [--map] syntax).
@@ -46,7 +48,9 @@ val file_name : string
 (** ["shard.map"], the per-shard on-disk copy inside the store dir. *)
 
 val save : dir:string -> t -> unit
-(** Atomically (tmp + rename) write the map into [dir]. *)
+(** Atomically and durably write the map into [dir]: tmp file, fsync,
+    rename, then {!Fbpersist.Persist.fsync_dir}, so the saved map
+    survives power loss. *)
 
 val load : dir:string -> t option
 (** The map last saved into [dir], if any.

@@ -62,6 +62,107 @@ let prop_mem seed =
   if not (Fsck.ok report) then
     failwith (Format.asprintf "fsck after run: %a" Fsck.pp_report report)
 
+(* --- closure walk vs the typed walk ----------------------------------- *)
+
+(* The reference, independent of [Closure]'s edge decoding: load every
+   version reachable from the heads, mark its meta chunk and, through
+   [Fobject.value] and [iter_chunks], every chunk of its value tree. *)
+let typed_walk db heads =
+  let store = Db.store db and cfg = Db.cfg db in
+  let marked = Cid.Tbl.create 256 in
+  let mark cid = Cid.Tbl.replace marked cid () in
+  let rec version uid =
+    if not (Cid.Tbl.mem marked uid) then begin
+      mark uid;
+      match Forkbase.Fobject.load store uid with
+      | None -> ()
+      | Some obj ->
+          (match Forkbase.Fobject.value store cfg obj with
+          | Fbtypes.Value.Prim _ -> ()
+          | Fbtypes.Value.Blob b -> Fbtypes.Fblob.iter_chunks b mark
+          | Fbtypes.Value.List l -> Flist.iter_chunks l mark
+          | Fbtypes.Value.Map m -> Fmap.iter_chunks m mark
+          | Fbtypes.Value.Set s -> Fset.iter_chunks s mark);
+          List.iter version obj.Forkbase.Fobject.bases
+    end
+  in
+  List.iter version heads;
+  marked
+
+let sorted_hex tbl =
+  List.sort compare (Cid.Tbl.fold (fun cid () acc -> Cid.to_hex cid :: acc) tbl [])
+
+let prop_closure seed =
+  let db = Db.create ~cfg (Fbchunk.Chunk_store.mem_store ()) in
+  let d = Model_driver.create ~seed db in
+  let (_ : int) = Model_driver.run d ~check_every:50 250 in
+  let heads =
+    List.concat_map
+      (fun key ->
+        List.map snd (Db.list_tagged_branches db ~key)
+        @ Db.list_untagged_branches db ~key)
+      (Db.list_keys db)
+  in
+  let store = Db.store db in
+  let walked = Cid.Tbl.create 256 in
+  let fetch cids =
+    List.filter_map
+      (fun cid ->
+        Option.map
+          (fun chunk ->
+            if Cid.Tbl.mem walked cid then failwith "chunk visited twice";
+            Cid.Tbl.replace walked cid ();
+            (cid, chunk))
+          (store.Fbchunk.Chunk_store.get cid))
+      cids
+  in
+  if Forkbase.Closure.walk ~fetch heads <> [] then
+    failwith "closure walk reports missing chunks in a complete store";
+  let reference = sorted_hex (typed_walk db heads) in
+  if sorted_hex walked <> reference then
+    failwith
+      (Printf.sprintf "closure walk visited %d cids, the typed walk %d"
+         (Cid.Tbl.length walked) (List.length reference));
+  (* A stingy peer: answers one chunk per call and never a chosen leaf.
+     The walk must re-ask for everything else, give up on exactly that
+     leaf, and still visit the rest of the closure. *)
+  let hidden =
+    Cid.Tbl.fold
+      (fun cid () acc ->
+        match (acc, store.Fbchunk.Chunk_store.get cid) with
+        | None, Some chunk when Forkbase.Closure.children chunk = []
+                                && chunk.Fbchunk.Chunk.tag <> Fbchunk.Chunk.Meta ->
+            Some cid
+        | _ -> acc)
+      walked None
+  in
+  (match hidden with
+  | None -> ()
+  | Some hidden ->
+      let stingy_seen = Cid.Tbl.create 256 in
+      let stingy cids =
+        match
+          List.find_opt
+            (fun cid -> (not (Cid.equal cid hidden)) && store.Fbchunk.Chunk_store.mem cid)
+            cids
+        with
+        | None -> []
+        | Some cid ->
+            Cid.Tbl.replace stingy_seen cid ();
+            [ (cid, Option.get (store.Fbchunk.Chunk_store.get cid)) ]
+      in
+      let missing = Forkbase.Closure.walk ~fetch:stingy heads in
+      if List.map Cid.to_hex missing <> [ Cid.to_hex hidden ] then
+        failwith "stingy walk: wrong cids given up";
+      if Cid.Tbl.length stingy_seen <> List.length reference - 1 then
+        failwith "stingy walk: closure not fully visited");
+  let garbage, _ = Forkbase.Gc.garbage_stats db in
+  let total = (store.Fbchunk.Chunk_store.stats ()).Fbchunk.Chunk_store.chunks in
+  if garbage <> total - List.length reference then
+    failwith
+      (Printf.sprintf "gc counts %d garbage chunks, the typed walk %d" garbage
+         (total - List.length reference))
+
 (* --- db vs model, durable store with put faults and crashes -------- *)
 
 let prop_persist seed =
@@ -205,6 +306,8 @@ let () =
           suite "db vs model (250 ops, mem store)" prop_mem;
           suite "db vs model (250 ops, durable, put faults + crashes)"
             prop_persist;
+          suite "closure walk = typed walk from every head (250 ops)"
+            prop_closure;
         ] );
       ( "postree",
         [

@@ -174,6 +174,56 @@ let test_handle () =
   | Wire.Error _ -> ()
   | _ -> Alcotest.fail "checkpoint on volatile store should error"
 
+(* 512 distinct max-size blob leaves: the most a [Fetch_chunks] request
+   may name, each as large as a leaf gets ([max_leaf_bytes], 16 KiB).
+   Answering all of them would be an 8 MiB frame; the byte budget cuts
+   the answer to a request-order prefix that fits the frame limit. *)
+let test_fetch_answer_bounded () =
+  let db = Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ()) in
+  let store = Forkbase.Db.store db in
+  let leaf_bytes = Fbtree.Tree_config.default.Fbtree.Tree_config.max_leaf_bytes in
+  let cids =
+    List.init Server.max_fetch_chunks (fun i ->
+        store.Fbchunk.Chunk_store.put
+          (Fbchunk.Chunk.v Fbchunk.Chunk.Blob
+             (String.init leaf_bytes (fun j -> Char.chr ((i * 131 + j) land 0xff)))))
+  in
+  match Server.handle db (Wire.Fetch_chunks { cids }) with
+  | Wire.Chunks encs as resp ->
+      let frame = String.length (Wire.encode_response resp) in
+      Alcotest.(check bool)
+        (Printf.sprintf "answer frame %d <= %d" frame Wire.default_max_frame_bytes)
+        true
+        (frame <= Wire.default_max_frame_bytes);
+      Alcotest.(check bool) "at least one chunk" true (encs <> []);
+      Alcotest.(check (list string))
+        "a request-order prefix"
+        (List.filteri (fun i _ -> i < List.length encs) cids |> List.map Cid.to_hex)
+        (List.map (fun enc -> Cid.to_hex (Fbchunk.Chunk.cid (Fbchunk.Chunk.decode enc))) encs)
+  | _ -> Alcotest.fail "fetch_chunks"
+
+(* A peer whose answer header announces a frame over the limit: the
+   client reports a typed protocol error, not a codec exception. *)
+let test_bad_response_frame () =
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close listener) @@ fun () ->
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 1;
+  let port =
+    match Unix.getsockname listener with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let c = Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let peer, _ = Unix.accept listener in
+  Fun.protect ~finally:(fun () -> Unix.close peer) @@ fun () ->
+  ignore (Unix.write_substring peer (header_of (5 * 1024 * 1024)) 0 4);
+  match Client.stats c with
+  | exception Client.Protocol_error _ -> ()
+  | exception e -> Alcotest.failf "untyped failure: %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "oversized answer accepted"
+
 (* --- server-process plumbing --- *)
 
 (* A server child on an ephemeral port serving a fresh in-memory db
@@ -483,6 +533,10 @@ let () =
       ( "server",
         [
           Alcotest.test_case "handler" `Quick test_handle;
+          Alcotest.test_case "fetch answer bounded by bytes" `Quick
+            test_fetch_answer_bounded;
+          Alcotest.test_case "bad response frame is a protocol error" `Quick
+            test_bad_response_frame;
           Alcotest.test_case "tcp session" `Quick test_tcp_session;
           Alcotest.test_case "two interleaved clients" `Quick
             test_two_interleaved_clients;

@@ -316,6 +316,31 @@ let test_snapshot_bootstrap_after_compaction () =
   assert_converged c f;
   Client.quit_server c
 
+(* A fresh follower of a checkpointed primary holding pages of
+   maximum-size leaves: the backfill must fetch them in answers the
+   frame limit can carry, re-asking for whatever a byte-bounded answer
+   left out. *)
+let test_bootstrap_large_leaves () =
+  with_temp_dirs2 @@ fun pdir fdir ->
+  with_primary pdir @@ fun port ->
+  let c = Client.connect ~retries:10 ~port () in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  for k = 0 to 2 do
+    ignore
+      (Client.put c ~key:(Printf.sprintf "page-%d" k)
+         (Wire.Blob (Testnet.max_leaf_page k))
+        : Cid.t)
+  done;
+  let (_ : int * int) = Client.checkpoint c in
+  let f = Replica.open_follower ~dir:fdir ~host:"127.0.0.1" ~port () in
+  Fun.protect ~finally:(fun () -> Replica.close f) @@ fun () ->
+  Replica.sync_until_caught_up f;
+  Alcotest.(check int) "lag drained" 0 (Replica.lag f);
+  Alcotest.(check bool) "every leaf backfilled" true
+    ((Replica.counters f).Replica.chunks_fetched > 3 * 195);
+  assert_converged c f;
+  Client.quit_server c
+
 let test_follower_crash_recovers_and_reconverges () =
   with_temp_dirs2 @@ fun pdir fdir ->
   with_primary pdir @@ fun port ->
@@ -676,6 +701,8 @@ let () =
             test_follower_tails_randomized_primary;
           Alcotest.test_case "snapshot bootstrap after compaction" `Quick
             test_snapshot_bootstrap_after_compaction;
+          Alcotest.test_case "bootstrap over maximum-size leaves" `Quick
+            test_bootstrap_large_leaves;
           Alcotest.test_case "crash mid-catch-up, recover, re-converge" `Quick
             test_follower_crash_recovers_and_reconverges;
           Alcotest.test_case "backfill faults, then converge" `Quick

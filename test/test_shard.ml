@@ -52,7 +52,10 @@ let test_map_file_roundtrip () =
       let map =
         Shard_map.create ~version:3 [ ("127.0.0.1", 5000); ("127.0.0.1", 5001) ]
       in
+      let dir_fsyncs = Fbpersist.Persist.dir_fsync_count () in
       Shard_map.save ~dir map;
+      Alcotest.(check bool) "the rename is made durable" true
+        (Fbpersist.Persist.dir_fsync_count () > dir_fsyncs);
       match Shard_map.load ~dir with
       | None -> Alcotest.fail "saved map did not load"
       | Some loaded ->
@@ -64,10 +67,13 @@ let test_map_parse_addrs () =
     "parse"
     [ ("127.0.0.1", 4000); ("host-b", 4001) ]
     (Shard_map.parse_addrs "127.0.0.1:4000,host-b:4001");
-  Alcotest.(check bool) "malformed raises" true
-    (match Shard_map.parse_addrs "no-port" with
-    | exception Shard_map.Bad_map _ -> true
-    | _ -> false)
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) (bad ^ " raises") true
+        (match Shard_map.parse_addrs bad with
+        | exception Shard_map.Bad_map _ -> true
+        | _ -> false))
+    [ "no-port"; "h:0"; "h:-1"; "h:70000" ]
 
 (* --- ownership enforcement on real shards --- *)
 
@@ -305,6 +311,49 @@ let test_live_rebalance () =
                   List.iter Procs.kill procs;
                   List.iter check_fsck_clean (dirs @ [ dir2 ])))))
 
+(* Rebalance keys whose versions are pages of maximum-size leaves: the
+   copy must move them in answers the frame limit can carry, and every
+   key must be writable again once the fence lifts. *)
+let test_rebalance_large_leaves () =
+  Testnet.with_cluster 2 (fun _dirs _procs map ->
+      Testnet.with_dispatcher map (fun d ->
+          let keys = List.init 6 (Printf.sprintf "page-%d") in
+          List.iteri
+            (fun j key ->
+              for v = 0 to 1 do
+                ignore
+                  (Dispatch.put d ~key
+                     (Wire.Blob (Testnet.max_leaf_page ((2 * j) + v)))
+                    : Fbchunk.Cid.t)
+              done)
+            keys;
+          Procs.with_temp_dir (fun dir2 ->
+              let extra = Shard.spawn ~dir:dir2 ~self:2 ~map () in
+              Fun.protect
+                ~finally:(fun () -> Procs.kill extra)
+                (fun () ->
+                  let moved =
+                    Dispatch.add_shard d ~host:"127.0.0.1"
+                      ~port:(Procs.port extra)
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "keys moved (%d)" moved)
+                    true (moved > 0);
+                  List.iteri
+                    (fun j key ->
+                      (match Dispatch.get d ~key with
+                      | Wire.Blob b ->
+                          Alcotest.(check bool) (key ^ " reads back") true
+                            (b = Testnet.max_leaf_page ((2 * j) + 1))
+                      | _ -> Alcotest.failf "%s: wrong value shape" key);
+                      ignore
+                        (Dispatch.put d ~key (Wire.Str "after") : Fbchunk.Cid.t);
+                      match Dispatch.get d ~key with
+                      | Wire.Str s -> Alcotest.(check string) key "after" s
+                      | _ -> Alcotest.failf "%s: write lost" key)
+                    keys;
+                  Dispatch.quit_all d))))
+
 let () =
   Alcotest.run "shard"
     [
@@ -329,5 +378,7 @@ let () =
         [
           Alcotest.test_case "kill and restart" `Quick test_shard_kill_restart;
           Alcotest.test_case "live rebalance" `Quick test_live_rebalance;
+          Alcotest.test_case "rebalance over maximum-size leaves" `Quick
+            test_rebalance_large_leaves;
         ] );
     ]

@@ -54,3 +54,16 @@ let with_cluster n f =
 let with_dispatcher map f =
   let d = Fbshard.Dispatch.of_map map in
   Fun.protect ~finally:(fun () -> Fbshard.Dispatch.close d) (fun () -> f d)
+
+(* A 3 MiB page of distinct maximum-size leaves under
+   [Tree_config.default]: every 4096-byte stretch opens with a 4-byte
+   counter unique to page [k] (so no two leaves dedup), and the rest is
+   a pattern the rolling hash never cuts inside, so leaves run to
+   [max_leaf_bytes] (195 leaves per page, 16,134 B on average).  A
+   512-cid [Fetch_chunks] over such leaves would answer ~8 MiB, twice
+   the frame limit. *)
+let max_leaf_page k =
+  String.init (3 * 1024 * 1024) (fun i ->
+      let j = i mod 4096 in
+      if j < 4 then Char.chr (((i / 4096) + (k * 100_000)) lsr (8 * j) land 0xff)
+      else Char.chr ((i * 7) land 0xff))
