@@ -3,7 +3,8 @@
    - the rolling-hash family used for pattern P,
    - expected chunk size (storage overhead vs update cost),
    - content-based chunking vs delta chains (§2.1's two dedup families),
-   - copy-on-write blob puts: a full rebuild vs a rebase onto the head. *)
+   - copy-on-write blob puts: a full rebuild vs a rebase onto the head,
+   - blob merges: two region splices vs assembly by chunk reference. *)
 
 module Store = Fbchunk.Chunk_store
 module Fblob = Fbtypes.Fblob
@@ -217,6 +218,18 @@ let ablation_delta scale =
     (delta_time /. float_of_int reads *. 1000.0)
     (Deltastore.Delta_store.replay_steps delta)
 
+(* A store that counts every put and the bytes it hashes (every put
+   hashes its chunk, dedup hit or not). *)
+let counting_store () =
+  let inner = Store.mem_store () in
+  let puts = ref 0 and hashed = ref 0 in
+  let put chunk =
+    incr puts;
+    hashed := !hashed + Fbchunk.Chunk.byte_size chunk;
+    inner.Store.put chunk
+  in
+  ({ inner with Store.put }, puts, hashed)
+
 (* Ablation E: a served blob put carries the whole new page.  The full
    build re-chunks and re-hashes every byte; the rebase onto the branch
    head (what the server does) re-chunks only around the edit and reuses
@@ -237,17 +250,6 @@ let ablation_cow _scale =
             (Workload.Text_edit.random_edit rng ~page_len:(String.length !content)
                ~update_ratio:0.9 ~edit_size:100);
         !content)
-  in
-  (* Count every put and the bytes it hashes. *)
-  let counting_store () =
-    let inner = Store.mem_store () in
-    let puts = ref 0 and hashed = ref 0 in
-    let put chunk =
-      incr puts;
-      hashed := !hashed + Fbchunk.Chunk.byte_size chunk;
-      inner.Store.put chunk
-    in
-    ({ inner with Store.put }, puts, hashed)
   in
   (* Replay the history from [page]; per-put counts and every root. *)
   let replay update =
@@ -281,3 +283,64 @@ let ablation_cow _scale =
           string_of_bool (List.for_all2 Fbchunk.Cid.equal roots full_roots);
         ])
     [ ("full-build", full); ("rebase", rebase) ]
+
+(* Ablation F: a three-way blob merge on test_core's wiki-halves pattern
+   (one 100 B edit below the half of a 32 KB page on master, one above
+   it on the draft).  The region merge splices both regions into the
+   base, re-chunking and re-hashing the leaves around each; the merge by
+   reference (what [Merge] tries first) assembles the merged leaves from
+   the two sides' existing ones and writes only index nodes.  Same roots;
+   the counts are chunks handed to the store and bytes hashed per merge. *)
+let ablation_merge _scale =
+  Bench_util.section "Ablation: blob merge, two splices vs by chunk reference";
+  let cfg = Fbtree.Tree_config.default in
+  let page = Workload.Text_edit.initial_page ~seed:21L ~size:(32 * 1024) in
+  let half = String.length page / 2 in
+  let rng = Fbutil.Splitmix.create 22L in
+  let edit lo =
+    let pos = lo + Fbutil.Splitmix.int rng (half - 100) in
+    let text = Workload.Text_edit.initial_page ~seed:(Int64.of_int pos) ~size:100 in
+    if Fbutil.Splitmix.bool rng then Workload.Text_edit.Overwrite (pos, text)
+    else Workload.Text_edit.Insert (pos, text)
+  in
+  let merges = 50 in
+  let store, puts, hashed = counting_store () in
+  let base = Fblob.create store cfg page in
+  let rounds =
+    List.init merges (fun _ ->
+        let left = Fblob.rebase base (Workload.Text_edit.apply page (edit 0)) in
+        (left, Fblob.rebase base (Workload.Text_edit.apply page (edit half))))
+  in
+  (* Both regions against base; the upper (right) one first, so the
+     lower one's position still holds. *)
+  let two_splices left right =
+    match (Fblob.diff_region base left, Fblob.diff_region base right) with
+    | Some ((bl, bl_len), (ll, ll_len)), Some ((br, br_len), (rr, rr_len)) ->
+        let upper = Fblob.splice base ~pos:br ~del:br_len ~ins:(Fblob.read right ~pos:rr ~len:rr_len) in
+        Some (Fblob.splice upper ~pos:bl ~del:bl_len ~ins:(Fblob.read left ~pos:ll ~len:ll_len))
+    | _ -> None
+  in
+  let run merge =
+    puts := 0;
+    hashed := 0;
+    let roots = List.map (fun (l, r) -> Option.map Fblob.root (merge l r)) rounds in
+    let per n = float_of_int n /. float_of_int merges in
+    (per !puts, per !hashed, roots)
+  in
+  let _, _, splice_roots as splices = run two_splices in
+  let by_ref = run (fun l r -> Fblob.merge_by_ref ~base l r) in
+  Bench_util.row_header [ "merge"; "puts/merge"; "bytes-hashed/merge"; "merged"; "same-roots" ];
+  List.iter
+    (fun (label, (puts, hashed, roots)) ->
+      Bench_json.metric ~name:(label ^ "_puts_per_merge") ~value:puts ~unit:"count";
+      Bench_json.metric ~name:(label ^ "_bytes_hashed_per_merge") ~value:hashed
+        ~unit:"bytes";
+      Bench_util.row
+        [
+          label;
+          Printf.sprintf "%.1f" puts;
+          Printf.sprintf "%.0f" hashed;
+          Printf.sprintf "%d/%d" (List.length (List.filter Option.is_some roots)) merges;
+          string_of_bool (List.equal (Option.equal Fbchunk.Cid.equal) roots splice_roots);
+        ])
+    [ ("two-splices", splices); ("by-reference", by_ref) ]

@@ -37,6 +37,8 @@ let experiments :
      Bench_ablation.ablation_delta);
     ("ablation-cow", "ablation", "blob put: full build vs rebase",
      Bench_ablation.ablation_cow);
+    ("ablation-merge", "ablation", "blob merge: two splices vs by reference",
+     Bench_ablation.ablation_merge);
     ("durability", "persist", "journaled puts, recovery, compaction",
      Bench_persist.durability);
     ("remote", "remote", "multi-client serving throughput", Bench_remote.remote);

@@ -80,7 +80,7 @@ let change_equal a b =
   | `Right x, `Right y | `Changed (_, x), `Changed (_, y) -> String.equal x y
   | _ -> false
 
-let merge_maps store cfg ~resolver ~base ~left ~right =
+let merge_maps ~resolver ~base ~left ~right =
   let dl = map_changes base left and dr = map_changes base right in
   let conflicts = ref [] in
   let updates = ref [] and removals = ref [] in
@@ -113,8 +113,6 @@ let merge_maps store cfg ~resolver ~base ~left ~right =
   else begin
     let merged = Fmap.set_many base !updates in
     let merged = List.fold_left Fmap.remove merged !removals in
-    ignore store;
-    ignore cfg;
     Merged (Value.Map merged)
   end
 
@@ -129,18 +127,20 @@ let merge_sets ~base ~left ~right =
   Merged (Value.Set merged)
 
 (* ------------------------------------------------------------------ *)
-(* Positional merge (Blob / List): region-based three-way.             *)
+(* Positional merge (Blob / List): by chunk reference, else by region. *)
 
-(* Generic over the positional container: [len], [region ~against:base],
-   [slice], [splice].  Regions are in base coordinates. *)
+(* Generic over the positional container: [merge_by_ref], [region
+   ~against:base], [slice], [splice].  Regions are in base coordinates. *)
 type 'c positional = {
-  p_len : 'c -> int;
+  p_merge_by_ref : base:'c -> 'c -> 'c -> 'c option;
   p_region : against:'c -> 'c -> ((int * int) * (int * int)) option;
   p_slice : 'c -> pos:int -> len:int -> string list;
   p_splice : 'c -> pos:int -> del:int -> ins:string list -> 'c;
 }
 
-let merge_positional (type c) (ops : c positional) ~resolver ~(base : c)
+(* The region merge: both sides' diffs against base, applied by splicing
+   when disjoint, a conflict over their covering region otherwise. *)
+let merge_regions (type c) (ops : c positional) ~resolver ~(base : c)
     ~(left : c) ~(right : c) ~wrap =
   match (ops.p_region ~against:base left, ops.p_region ~against:base right) with
   | None, None -> Merged (wrap base)
@@ -148,11 +148,14 @@ let merge_positional (type c) (ops : c positional) ~resolver ~(base : c)
   | None, Some _ -> Merged (wrap right)
   | Some ((bl, bl_len), (ll, ll_len)), Some ((br, br_len), (rr, rr_len)) ->
       if bl + bl_len <= br || br + br_len <= bl then begin
-        (* Disjoint base regions: apply both, higher position first. *)
+        (* Disjoint base regions: apply both, the later one first.  At one
+           position an insertion precedes a replacement, and of two
+           insertions the left one comes first. *)
         let apply_left c = ops.p_splice c ~pos:bl ~del:bl_len ~ins:(ops.p_slice left ~pos:ll ~len:ll_len) in
         let apply_right c = ops.p_splice c ~pos:br ~del:br_len ~ins:(ops.p_slice right ~pos:rr ~len:rr_len) in
         let merged =
-          if bl > br then apply_right (apply_left base) else apply_left (apply_right base)
+          if bl > br || (bl = br && bl_len > br_len) then apply_right (apply_left base)
+          else apply_left (apply_right base)
         in
         Merged (wrap merged)
       end
@@ -180,9 +183,16 @@ let merge_positional (type c) (ops : c positional) ~resolver ~(base : c)
         | None -> Conflicts [ conflict ]
       end
 
+(* Disjoint leaf runs merge by chunk reference, with the region merge's
+   result; everything else takes the region merge. *)
+let merge_positional ops ~resolver ~base ~left ~right ~wrap =
+  match ops.p_merge_by_ref ~base left right with
+  | Some merged -> Merged (wrap merged)
+  | None -> merge_regions ops ~resolver ~base ~left ~right ~wrap
+
 let blob_ops =
   {
-    p_len = Fblob.length;
+    p_merge_by_ref = Fblob.merge_by_ref;
     p_region = (fun ~against b -> Fblob.diff_region against b);
     p_slice =
       (fun b ~pos ~len ->
@@ -194,7 +204,7 @@ let blob_ops =
 
 let list_ops =
   {
-    p_len = Flist.length;
+    p_merge_by_ref = Flist.merge_by_ref;
     p_region = (fun ~against l -> Flist.diff_region against l);
     p_slice = Flist.slice;
     p_splice = Flist.splice;
@@ -267,9 +277,9 @@ let merge_values store cfg ~resolver ~base ~left ~right =
   | _, left, right when Value.kind left <> Value.kind right ->
       kind_conflict left right
   | Some (Value.Map b), Value.Map l, Value.Map r ->
-      merge_maps store cfg ~resolver ~base:b ~left:l ~right:r
+      merge_maps ~resolver ~base:b ~left:l ~right:r
   | None, Value.Map l, Value.Map r ->
-      merge_maps store cfg ~resolver ~base:(Fmap.empty store cfg) ~left:l ~right:r
+      merge_maps ~resolver ~base:(Fmap.empty store cfg) ~left:l ~right:r
   | Some (Value.Set b), Value.Set l, Value.Set r ->
       merge_sets ~base:b ~left:l ~right:r
   | None, Value.Set l, Value.Set r ->

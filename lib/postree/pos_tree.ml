@@ -931,44 +931,146 @@ module Make (E : ELEM) = struct
     in
     Cid.Set.diff (set_of a) (set_of b)
 
-  let elem_bytes e =
-    let b = Buffer.create 64 in
-    E.encode b e;
-    Buffer.contents b
+  (* Element equality by encoding, through one reused buffer: [x]'s
+     encoding, then [y]'s, compared half against half. *)
+  let elem_eq buf x y =
+    Buffer.clear buf;
+    E.encode buf x;
+    let n = Buffer.length buf in
+    E.encode buf y;
+    Buffer.length buf = 2 * n
+    &&
+    let k = ref 0 in
+    while !k < n && Buffer.nth buf !k = Buffer.nth buf (n + !k) do
+      incr k
+    done;
+    !k = n
 
-  let diff_region t1 t2 =
+  (* Leading and trailing leaves of [a] and [b] equal by cid: [(p, s)],
+     with the suffix run stopping where the prefix run ends on either
+     side.  Both the diff and the merge below start from these runs. *)
+  let leaf_runs a b =
+    let la = a.levels.(0) and lb = b.levels.(0) in
+    let na = Array.length la and nb = Array.length lb in
+    let p = ref 0 in
+    while !p < na && !p < nb && Cid.equal la.(!p).cid lb.(!p).cid do
+      incr p
+    done;
+    let s = ref 0 in
+    while
+      !s < na - !p && !s < nb - !p && Cid.equal la.(na - 1 - !s).cid lb.(nb - 1 - !s).cid
+    do
+      incr s
+    done;
+    (!p, !s)
+
+  (* Length of the common prefix ([~back:false]) or suffix of elements
+     [lo1, hi1) of [t1] and [lo2, hi2) of [t2].  Each step takes the run
+     of elements that one leaf on each side holds in the scan direction
+     and hands it to [run_match ~back t1 i1 o1 t2 i2 o2 len] (leaf,
+     offset of the run's first element in it, run length), which returns
+     how many elements of the run match from that direction. *)
+  let common ~back ~run_match t1 (lo1, hi1) t2 (lo2, hi2) =
+    let limit = min (hi1 - lo1) (hi2 - lo2) in
+    let cum1 = Lazy.force t1.cum and cum2 = Lazy.force t2.cum in
+    let k = ref 0 and diverged = ref false in
+    while (not !diverged) && !k < limit do
+      let at lo hi = if back then hi - 1 - !k else lo + !k in
+      let p1 = at lo1 hi1 and p2 = at lo2 hi2 in
+      let i1 = leaf_of_pos t1 p1 and i2 = leaf_of_pos t2 p2 in
+      let avail cum i p = if back then p - cum.(i) + 1 else cum.(i + 1) - p in
+      let len = min (limit - !k) (min (avail cum1 i1 p1) (avail cum2 i2 p2)) in
+      let first cum i p = if back then p - cum.(i) - len + 1 else p - cum.(i) in
+      let m = run_match ~back t1 i1 (first cum1 i1 p1) t2 i2 (first cum2 i2 p2) len in
+      k := !k + m;
+      diverged := m < len
+    done;
+    !k
+
+  (* The region [diff_region] reports: the differing leaf spans, trimmed
+     of their common leading, then trailing, elements by [run_match]. *)
+  let refine_region ~run_match t1 t2 =
     if equal t1 t2 then None
     else begin
-      let l1 = t1.levels.(0) and l2 = t2.levels.(0) in
-      let n1 = Array.length l1 and n2 = Array.length l2 in
-      let p = ref 0 in
-      while !p < n1 && !p < n2 && Cid.equal l1.(!p).cid l2.(!p).cid do
-        incr p
+      let p, s = leaf_runs t1 t2 in
+      let span t =
+        let cum = Lazy.force t.cum in
+        (cum.(p), cum.(Array.length t.levels.(0) - s))
+      in
+      let (lo1, hi1 as span1) = span t1 and (lo2, hi2 as span2) = span t2 in
+      let m = common ~back:false ~run_match t1 span1 t2 span2 in
+      let q = common ~back:true ~run_match t1 (lo1 + m, hi1) t2 (lo2 + m, hi2) in
+      Some ((lo1 + m, hi1 - lo1 - m - q), (lo2 + m, hi2 - lo2 - m - q))
+    end
+
+  (* Elements: each differing leaf is decoded once (the leaf cache) and
+     compared by encoding. *)
+  let diff_region t1 t2 =
+    let buf = Buffer.create 64 in
+    let run_match ~back t1 i1 o1 t2 i2 o2 len =
+      let e1 = leaf_elems t1 i1 and e2 = leaf_elems t2 i2 in
+      let at k = if back then len - 1 - k else k in
+      let k = ref 0 in
+      while !k < len && elem_eq buf e1.(o1 + at !k) e2.(o2 + at !k) do
+        incr k
       done;
-      let s = ref 0 in
-      while
-        !s < n1 - !p
-        && !s < n2 - !p
-        && Cid.equal l1.(n1 - 1 - !s).cid l2.(n2 - 1 - !s).cid
-      do
-        incr s
-      done;
-      let cum1 = Lazy.force t1.cum and cum2 = Lazy.force t2.cum in
-      let start1 = ref cum1.(!p) and stop1 = ref cum1.(n1 - !s) in
-      let start2 = ref cum2.(!p) and stop2 = ref cum2.(n2 - !s) in
-      (* Refine to element granularity: trim common prefix/suffix elements
-         inside the differing chunk span, so edits smaller than a chunk
-         still produce a tight region. *)
-      let eq i j = String.equal (elem_bytes (get t1 i)) (elem_bytes (get t2 j)) in
-      while !start1 < !stop1 && !start2 < !stop2 && eq !start1 !start2 do
-        incr start1;
-        incr start2
-      done;
-      while !stop1 > !start1 && !stop2 > !start2 && eq (!stop1 - 1) (!stop2 - 1) do
-        decr stop1;
-        decr stop2
-      done;
-      Some ((!start1, !stop1 - !start1), (!start2, !stop2 - !start2))
+      !k
+    in
+    refine_region ~run_match t1 t2
+
+  (* Bytes: the leaf payloads are compared in place, a word at a time. *)
+  let diff_region_bytes t1 t2 =
+    let run_match ~back t1 i1 o1 t2 i2 o2 len =
+      let a, ha = leaf_payload t1 i1 and b, hb = leaf_payload t2 i2 in
+      matching ~back a (ha + o1) b (hb + o2) len
+    in
+    refine_region ~run_match t1 t2
+
+  (* Three-way merge by chunk reference.  [l] changes base leaves
+     [p_l, n - s_l) and [r] changes [p_r, n - s_r).  When [l]'s run ends
+     at or before [r]'s begins, the merged leaves are [l]'s up to its
+     common suffix, then [r]'s from base leaf [n - s_l] on (below [p_r]
+     they are base's): existing leaves only.  The cutter resets at every
+     cut, so this is a fresh build's tree as long as the junction is a
+     content cut; [s_l >= 1] (the residual-cut rule of [splice_leaves])
+     keeps [l]'s last leaf, which the end of the stream may have cut, out
+     of the middle.  The diffs' regions lie inside these leaf runs, so
+     the content is the region merge's.  The mirror case needs a gap of a
+     leaf: where the runs touch, both sides may insert at one position,
+     and the region merge puts [l]'s insertion first. *)
+  let merge_by_ref ~base l r =
+    if equal base l then Some r
+    else if equal base r then Some l
+    else begin
+      let n = Array.length base.levels.(0) in
+      let p_l, s_l = leaf_runs base l and p_r, s_r = leaf_runs base r in
+      (* [first]'s leaves before its suffix, then [second]'s from base leaf
+         [n - s_first]; index levels are rebuilt against [first], whose
+         leaves the result keeps up to [second]'s changed run and again in
+         [second]'s suffix. *)
+      let assemble first ~s_first second ~p_second ~s_second =
+        let a = first.levels.(0) and b = second.levels.(0) in
+        let na = Array.length a and nb = Array.length b in
+        let keep = na - s_first and from = n - s_first in
+        (* An emptied tree is one empty leaf, which no other tree holds:
+           [second]'s is dropped, and one stands for an emptied merge. *)
+        let rest = if length second = 0 then [||] else Array.sub b from (nb - from) in
+        let leaves =
+          match Array.append (Array.sub a 0 keep) rest with
+          | [||] -> [| empty_leaf_ref first.store |]
+          | leaves -> leaves
+        in
+        let len = Array.length leaves in
+        let anchors =
+          List.init (keep + p_second - from) (fun i -> (i, i))
+          @ List.init s_second (fun j -> (na - s_second + j, len - s_second + j))
+        in
+        Some (rebuild_levels first (leaves, anchors))
+      in
+      if s_l >= 1 && n - s_l <= p_r then assemble l ~s_first:s_l r ~p_second:p_r ~s_second:s_r
+      else if s_r >= 1 && n - s_r < p_l then
+        assemble r ~s_first:s_r l ~p_second:p_l ~s_second:s_l
+      else None
     end
 
   let diff_sorted ta tb =
@@ -976,6 +1078,7 @@ module Make (E : ELEM) = struct
     let na = Array.length la and nb = Array.length lb in
     let out = ref [] in
     let emit d = out := d :: !out in
+    let buf = Buffer.create 64 in
     (* Cursors: leaf index and offset within the (lazily decoded) leaf. *)
     let ia = ref 0 and oa = ref 0 and ib = ref 0 and ob = ref 0 in
     let ea = ref [||] and eb = ref [||] in
@@ -1036,8 +1139,7 @@ module Make (E : ELEM) = struct
             adv_b ()
           end
           else begin
-            if not (String.equal (elem_bytes x) (elem_bytes y)) then
-              emit (`Changed (x, y));
+            if not (elem_eq buf x y) then emit (`Changed (x, y));
             adv_a ();
             adv_b ()
           end

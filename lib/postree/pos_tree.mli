@@ -172,9 +172,26 @@ module Make (E : ELEM) : sig
       delta an update produced. *)
 
   val diff_region : t -> t -> ((int * int) * (int * int)) option
-  (** Coarse structural diff: [None] when equal, otherwise
-      [Some ((pos1, len1), (pos2, len2))], the smallest differing middle
-      region after skipping shared leaf prefixes and suffixes. *)
+  (** Structural diff: [None] when equal, otherwise
+      [Some ((pos1, len1), (pos2, len2))].  Leaves equal by cid are
+      skipped at both ends; inside the differing leaf span the region is
+      trimmed of its common leading, then trailing, elements.  Each
+      differing leaf is decoded once, so the cost is O(changed leaves). *)
+
+  val diff_region_bytes : t -> t -> ((int * int) * (int * int)) option
+  (** {!diff_region} on a byte stream (one payload byte per element): the
+      differing leaf payloads are compared in place, a word at a time. *)
+
+  val merge_by_ref : base:t -> t -> t -> t option
+  (** [merge_by_ref ~base l r] is the three-way merge of two positional
+      trees when it can be assembled from existing leaves: one side
+      unchanged, or the base leaves [l] changes all lie before those [r]
+      changes (or, with a gap of at least one leaf, after them).  The
+      result is the tree {!of_elements} builds from the merged content,
+      the same content a region merge of {!diff_region}'s regions gives;
+      only index nodes are written.  [None] when the changed leaf runs
+      touch or overlap, or when the first side's change reaches its last
+      leaf. *)
 
   val diff_sorted :
     t -> t -> [ `Left of elem | `Right of elem | `Changed of elem * elem ] list

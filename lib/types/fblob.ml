@@ -37,7 +37,8 @@ let append t s = splice t ~pos:(length t) ~del:0 ~ins:s
 let insert t ~pos s = splice t ~pos ~del:0 ~ins:s
 let remove t ~pos ~len = splice t ~pos ~del:len ~ins:""
 let overwrite t ~pos s = splice t ~pos ~del:(String.length s) ~ins:s
-let diff_region = T.diff_region
+let diff_region = T.diff_region_bytes
+let merge_by_ref = T.merge_by_ref
 let chunk_count = T.chunk_count
 let height = T.height
 let iter_chunks = T.iter_cids

@@ -37,7 +37,14 @@ val splice : t -> pos:int -> del:int -> ins:string -> t
 (** Re-chunks O(edit + leaf) bytes, whatever the blob's size. *)
 
 val diff_region : t -> t -> ((int * int) * (int * int)) option
-(** Coarse structural diff via shared chunks; [None] when equal. *)
+(** The differing byte regions [((pos1, len1), (pos2, len2))]; [None] when
+    equal.  Shared leaves are skipped by cid and the differing leaves
+    compared in place, so the cost is O(changed leaves). *)
+
+val merge_by_ref : base:t -> t -> t -> t option
+(** Three-way merge from existing chunks when the two sides changed
+    disjoint leaf runs (see {!Fbtree.Pos_tree.Make.merge_by_ref}); the
+    same tree {!create} builds from the merged bytes. *)
 
 val chunk_count : t -> int
 val height : t -> int

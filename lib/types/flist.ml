@@ -33,6 +33,7 @@ let append = T.append
 let insert t ~pos ins = T.splice t ~pos ~del:0 ~ins
 let remove t ~pos ~len = T.splice t ~pos ~del:len ~ins:[]
 let diff_region = T.diff_region
+let merge_by_ref = T.merge_by_ref
 let chunk_count = T.chunk_count
 let iter_chunks = T.iter_cids
 let verify = T.verify

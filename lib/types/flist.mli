@@ -32,6 +32,13 @@ val splice : t -> pos:int -> del:int -> ins:string list -> t
 val splice_many : t -> (int * int * string list) list -> t
 
 val diff_region : t -> t -> ((int * int) * (int * int)) option
+(** The differing element regions [((pos1, len1), (pos2, len2))]; [None]
+    when equal. *)
+
+val merge_by_ref : base:t -> t -> t -> t option
+(** Three-way merge from existing chunks when the two sides changed
+    disjoint leaf runs (see {!Fbtree.Pos_tree.Make.merge_by_ref}). *)
+
 val chunk_count : t -> int
 val iter_chunks : t -> (Fbchunk.Cid.t -> unit) -> unit
 val verify : t -> bool

@@ -292,8 +292,9 @@ let test_merge_blob_disjoint () =
   | v -> Alcotest.fail (Value.describe v)
 
 (* The wiki pattern: master edits the lower half of a 32 KB page, the draft
-   the upper half.  The merge splices both regions into the base, and the
-   result must be exactly the tree a fresh build of the expected bytes
+   the upper half.  The merge assembles the two sides' leaves by reference
+   (or splices both regions into the base when they share a leaf), and
+   the result must be exactly the tree a fresh build of the expected bytes
    gives. *)
 let test_merge_blob_wiki_halves () =
   let module Text_edit = Workload.Text_edit in
@@ -329,6 +330,22 @@ let test_merge_blob_wiki_halves () =
           (Cid.to_hex (Fbtypes.Fblob.root b))
     | v -> Alcotest.fail (Value.describe v)
   done
+
+(* One side replaces an element, the other inserts right before it: both
+   regions start at one base position, and the insertion must not be
+   spliced over by the replacement. *)
+let test_merge_list_insert_beside_replace () =
+  let db = fresh () in
+  let (_ : Cid.t) = Db.put db ~key:"l" (Db.list db [ "a"; "b"; "c" ]) in
+  ok (Db.fork db ~key:"l" ~from_branch:"master" ~new_branch:"dev");
+  let (_ : Cid.t) = Db.put db ~key:"l" (Db.list db [ "a"; "x"; "c" ]) in
+  let (_ : Cid.t) = Db.put ~branch:"dev" db ~key:"l" (Db.list db [ "a"; "y"; "b"; "c" ]) in
+  let (_ : Cid.t) = ok (Db.merge db ~key:"l" ~target:"master" ~ref_:(`Branch "dev")) in
+  match ok (Db.get db ~key:"l") with
+  | Value.List l ->
+      Alcotest.(check (list string)) "insertion, then replacement" [ "a"; "y"; "x"; "c" ]
+        (Fbtypes.Flist.to_list l)
+  | v -> Alcotest.fail (Value.describe v)
 
 let test_merge_type_mismatch () =
   let db = fresh () in
@@ -485,6 +502,8 @@ let () =
           Alcotest.test_case "blob disjoint regions" `Quick test_merge_blob_disjoint;
           Alcotest.test_case "blob halves = fresh build" `Quick
             test_merge_blob_wiki_halves;
+          Alcotest.test_case "list insert beside a replacement" `Quick
+            test_merge_list_insert_beside_replace;
           Alcotest.test_case "type mismatch" `Quick test_merge_type_mismatch;
         ] );
       ( "merge-properties",

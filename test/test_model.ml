@@ -18,6 +18,8 @@ module Model = Fbcheck.Model
 module Flist = Fbtypes.Flist
 module Fmap = Fbtypes.Fmap
 module Fset = Fbtypes.Fset
+module Fblob = Fbtypes.Fblob
+module Merge = Forkbase.Merge
 
 let trial_count default =
   match Sys.getenv_opt "FORKBASE_QCHECK_COUNT" with
@@ -241,6 +243,316 @@ let prop_splice seed =
     end
   done
 
+(* --- positional diff and merge vs element-wise references ---------- *)
+
+(* A blob or a list seen as an array of elements (a blob's are its
+   bytes, one per element), so one generator and one reference serve
+   both. *)
+type 'c positional = {
+  build : Fbchunk.Chunk_store.t -> string array -> 'c;
+  root : 'c -> Cid.t;
+  diff : 'c -> 'c -> ((int * int) * (int * int)) option;
+  merge_by_ref : base:'c -> 'c -> 'c -> 'c option;
+  value : 'c -> Fbtypes.Value.t;
+  unwrap : Fbtypes.Value.t -> 'c;
+  elems : 'c -> string array;
+  (* how a conflict renders a slice, and reads a resolution back *)
+  join : string array -> string;
+  split : string -> string array;
+  gen_elem : Splitmix.t -> string;
+  max_len : int;  (* of a base: enough leaves for two index levels *)
+}
+
+let merge_cfg = Fbtree.Tree_config.with_leaf_bits 6
+
+(* Merge's element separator and its split, for the reference. *)
+let split_sep s = if s = "" then [||] else Array.of_list (String.split_on_char '\x1f' s)
+
+let blob_kind =
+  let bytes a = String.concat "" (Array.to_list a) in
+  let of_bytes s = Array.init (String.length s) (fun i -> String.make 1 s.[i]) in
+  {
+    build = (fun store a -> Fblob.create store merge_cfg (bytes a));
+    root = Fblob.root;
+    diff = Fblob.diff_region;
+    merge_by_ref = Fblob.merge_by_ref;
+    value = (fun b -> Fbtypes.Value.Blob b);
+    unwrap = (function Fbtypes.Value.Blob b -> b | v -> failwith (Fbtypes.Value.describe v));
+    elems = (fun b -> of_bytes (Fblob.to_string b));
+    join = bytes;
+    (* a blob splices the resolution's pieces back together *)
+    split = (fun s -> of_bytes (bytes (split_sep s)));
+    (* a small alphabet half the time, so refinement meets long runs of
+       equal bytes *)
+    gen_elem =
+      (fun rng ->
+        String.make 1
+          (if Splitmix.bool rng then "ab".[Splitmix.int rng 2] else Char.chr (Splitmix.int rng 256)));
+    max_len = 6000;
+  }
+
+let list_kind =
+  {
+    build = (fun store a -> Flist.create store merge_cfg (Array.to_list a));
+    root = Flist.root;
+    diff = Flist.diff_region;
+    merge_by_ref = Flist.merge_by_ref;
+    value = (fun l -> Fbtypes.Value.List l);
+    unwrap = (function Fbtypes.Value.List l -> l | v -> failwith (Fbtypes.Value.describe v));
+    elems = (fun l -> Array.of_list (Flist.to_list l));
+    join = (fun a -> String.concat "\x1f" (Array.to_list a));
+    split = split_sep;
+    gen_elem = (fun rng -> if Splitmix.int rng 4 = 0 then "x" else Model_driver.gen_string rng);
+    max_len = 1500;
+  }
+
+(* Element counts of a tree's leaves, read from the chunks themselves. *)
+let rec leaf_counts store cid =
+  let chunk = Fbchunk.Chunk_store.get_exn store cid in
+  match chunk.Fbchunk.Chunk.tag with
+  | Fbchunk.Chunk.Blob | Fbchunk.Chunk.List ->
+      [ (cid, Fbutil.Codec.read_varint (Fbutil.Codec.reader chunk.Fbchunk.Chunk.payload)) ]
+  | _ -> List.concat_map (leaf_counts store) (Fbtree.Pos_tree.index_children chunk)
+
+(* cum.(i) = elements before leaf i *)
+let leaf_cum store root =
+  let counts = List.map snd (leaf_counts store root) in
+  Array.of_list (List.rev (List.fold_left (fun acc c -> (List.hd acc + c) :: acc) [ 0 ] counts))
+
+(* The element-wise diff_region the trees used before per-leaf
+   refinement: leaf-cid prefix and suffix, then one element at a time. *)
+let reference_region store (r1, a1) (r2, a2) =
+  if Cid.equal r1 r2 then None
+  else begin
+    let l1 = Array.of_list (leaf_counts store r1) and l2 = Array.of_list (leaf_counts store r2) in
+    let n1 = Array.length l1 and n2 = Array.length l2 in
+    let same i j = Cid.equal (fst l1.(i)) (fst l2.(j)) in
+    let p = ref 0 in
+    while !p < n1 && !p < n2 && same !p !p do
+      incr p
+    done;
+    let s = ref 0 in
+    while !s < n1 - !p && !s < n2 - !p && same (n1 - 1 - !s) (n2 - 1 - !s) do
+      incr s
+    done;
+    let cum1 = leaf_cum store r1 and cum2 = leaf_cum store r2 in
+    let start1 = ref cum1.(!p) and stop1 = ref cum1.(n1 - !s) in
+    let start2 = ref cum2.(!p) and stop2 = ref cum2.(n2 - !s) in
+    let eq i j = String.equal a1.(i) a2.(j) in
+    while !start1 < !stop1 && !start2 < !stop2 && eq !start1 !start2 do
+      incr start1;
+      incr start2
+    done;
+    while !stop1 > !start1 && !stop2 > !start2 && eq (!stop1 - 1) (!stop2 - 1) do
+      decr stop1;
+      decr stop2
+    done;
+    Some ((!start1, !stop1 - !start1), (!start2, !stop2 - !start2))
+  end
+
+let splice_arr a ~pos ~del ~ins =
+  Array.concat [ Array.sub a 0 pos; ins; Array.sub a (pos + del) (Array.length a - pos - del) ]
+
+(* The two-splice region merge, on element arrays: [`Content] of the
+   merged value, or the one conflict a [Manual] merge reports. *)
+let reference_merge k store ~resolver (rb, b) (rl, l) (rr, r) =
+  match (reference_region store (rb, b) (rl, l), reference_region store (rb, b) (rr, r)) with
+  | None, None -> `Content b
+  | Some _, None -> `Content l
+  | None, Some _ -> `Content r
+  | Some ((bl, bl_len), (ll, ll_len)), Some ((br, br_len), (rr, rr_len)) ->
+      if bl + bl_len <= br || br + br_len <= bl then begin
+        let left a = splice_arr a ~pos:bl ~del:bl_len ~ins:(Array.sub l ll ll_len) in
+        let right a = splice_arr a ~pos:br ~del:br_len ~ins:(Array.sub r rr rr_len) in
+        `Content
+          (if bl > br || (bl = br && bl_len > br_len) then right (left b) else left (right b))
+      end
+      else begin
+        let s = min bl br and e = max (bl + bl_len) (br + br_len) in
+        let right_slice = Array.sub r s (e - s + (rr_len - br_len)) in
+        let conflict =
+          {
+            Merge.location = Printf.sprintf "@pos:%d" s;
+            base = Some (k.join (Array.sub b s (e - s)));
+            left = Some (k.join (Array.sub l s (e - s + (ll_len - bl_len))));
+            right = Some (k.join right_slice);
+          }
+        in
+        match resolver with
+        | Merge.Choose_right ->
+            `Content (splice_arr b ~pos:s ~del:(e - s) ~ins:(k.split (k.join right_slice)))
+        | _ -> `Conflict conflict
+      end
+
+let rand_elems k rng n = Array.init n (fun _ -> k.gen_elem rng)
+
+(* A base: empty, a single leaf, content ending on a content-defined cut
+   (so an append keeps every base leaf), or arbitrary content. *)
+let gen_base k rng store =
+  match Splitmix.int rng 6 with
+  | 0 -> [||]
+  | 1 -> rand_elems k rng (1 + Splitmix.int rng 6)
+  | 2 ->
+      let a = rand_elems k rng (Splitmix.int rng k.max_len) in
+      let cum = leaf_cum store (k.root (k.build store a)) in
+      let nl = Array.length cum - 1 in
+      if nl < 2 then a else Array.sub a 0 cum.(1 + Splitmix.int rng (nl - 1))
+  | _ -> rand_elems k rng (Splitmix.int rng k.max_len)
+
+(* Elements that chunk as one whole leaf on their own: a copy of a base
+   leaf that is not the last, or the first leaf of fresh content. *)
+let whole_leaf k rng store ~cum a =
+  let nl = Array.length cum - 1 in
+  if nl >= 2 && Splitmix.bool rng then begin
+    let i = Splitmix.int rng (nl - 1) in
+    Array.sub a cum.(i) (cum.(i + 1) - cum.(i))
+  end
+  else begin
+    let fresh = rand_elems k rng 600 in
+    let fcum = leaf_cum store (k.root (k.build store fresh)) in
+    Array.sub fresh 0 fcum.(1)
+  end
+
+(* One edit [(pos, del, ins)] whose changed base elements lie in
+   [lo, hi]: a small splice, a whole-leaf insert at a base leaf boundary,
+   or a whole-leaf delete. *)
+let gen_edit k rng store ~cum a ~lo ~hi =
+  let boundaries = List.filter (fun c -> c >= lo && c <= hi) (Array.to_list cum) in
+  let leaves =
+    List.filter
+      (fun i -> cum.(i) >= lo && cum.(i + 1) <= hi && cum.(i + 1) > cum.(i))
+      (List.init (Array.length cum - 1) Fun.id)
+  in
+  match Splitmix.int rng 4 with
+  | 0 when boundaries <> [] ->
+      let c = List.nth boundaries (Splitmix.int rng (List.length boundaries)) in
+      (c, 0, whole_leaf k rng store ~cum a)
+  | 1 when leaves <> [] ->
+      let i = List.nth leaves (Splitmix.int rng (List.length leaves)) in
+      (cum.(i), cum.(i + 1) - cum.(i), [||])
+  | _ ->
+      let pos = lo + Splitmix.int rng (hi - lo + 1) in
+      let del = min (hi - pos) (Splitmix.int rng 9) in
+      (pos, del, rand_elems k rng (if del = 0 then 1 + Splitmix.int rng 8 else Splitmix.int rng 9))
+
+(* Apply non-overlapping edits in base coordinates, the last first. *)
+let apply_edits a edits =
+  List.fold_left
+    (fun a (pos, del, ins) -> splice_arr a ~pos ~del ~ins)
+    a
+    (List.sort (fun (p1, _, _) (p2, _, _) -> compare p2 p1) edits)
+
+(* One or two edits inside [lo, hi], in disjoint halves of it. *)
+let gen_side k rng store ~cum a ~lo ~hi =
+  if hi - lo >= 2 && Splitmix.bool rng then begin
+    let mid = (lo + hi) / 2 in
+    let e1 = gen_edit k rng store ~cum a ~lo ~hi:mid in
+    let (p1, d1, _) = e1 in
+    let lo2 = max (mid + 1) (p1 + d1 + 1) in
+    if lo2 > hi then apply_edits a [ e1 ]
+    else apply_edits a [ e1; gen_edit k rng store ~cum a ~lo:lo2 ~hi ]
+  end
+  else apply_edits a [ gen_edit k rng store ~cum a ~lo ~hi ]
+
+(* Both sides of a three-way merge, from one of four scenarios. *)
+let gen_sides k rng store ~cum b =
+  let n = Array.length b in
+  let swap (x, y) = if Splitmix.bool rng then (y, x) else (x, y) in
+  let small_tail () =
+    let del = min n (1 + Splitmix.int rng 4) in
+    apply_edits b [ (n - del, del, rand_elems k rng (1 + Splitmix.int rng 4)) ]
+  in
+  let append () = apply_edits b [ (n, 0, rand_elems k rng (1 + Splitmix.int rng 200)) ] in
+  match Splitmix.int rng 4 with
+  | 0 ->
+      (* one side below a cut point, the other above it *)
+      let h = Splitmix.int rng (n + 1) in
+      swap (gen_side k rng store ~cum b ~lo:0 ~hi:h, gen_side k rng store ~cum b ~lo:h ~hi:n)
+  | 1 ->
+      (* both insert at one base leaf boundary: whole leaves or bytes *)
+      let c = cum.(Splitmix.int rng (Array.length cum)) in
+      let ins () =
+        if Splitmix.bool rng then whole_leaf k rng store ~cum b
+        else rand_elems k rng (1 + Splitmix.int rng 8)
+      in
+      let l = apply_edits b [ (c, 0, ins ()) ] in
+      (l, apply_edits b [ (c, 0, ins ()) ])
+  | 2 ->
+      (* the residual leaf: a tail edit against an append, or against a
+         change elsewhere *)
+      if n = 0 then (append (), append ())
+      else if Splitmix.bool rng then swap (small_tail (), append ())
+      else swap (small_tail (), gen_side k rng store ~cum b ~lo:0 ~hi:n)
+  | _ -> (gen_side k rng store ~cum b ~lo:0 ~hi:n, gen_side k rng store ~cum b ~lo:0 ~hi:n)
+
+let show_region = function
+  | None -> "None"
+  | Some ((p1, l1), (p2, l2)) -> Printf.sprintf "(%d,%d)/(%d,%d)" p1 l1 p2 l2
+
+(* Every merge is checked three ways: [diff_region] against the
+   element-wise reference on each pair, [Merge.merge_values] against the
+   two-splice reference (same conflict, or the same root, which is also
+   a fresh build's), and [merge_by_ref], when it applies, against that
+   same root.  Returns how many merges went by reference. *)
+let merge_trials k rng store ~trials =
+  let by_ref = ref 0 in
+  for trial = 1 to trials do
+    let fail fmt = Printf.ksprintf (fun m -> failwith (Printf.sprintf "merge %d: %s" trial m)) fmt in
+    let b = gen_base k rng store in
+    let tb = k.build store b in
+    let cum = leaf_cum store (k.root tb) in
+    let l, r = gen_sides k rng store ~cum b in
+    let tl = k.build store l and tr = k.build store r in
+    let side t a = (k.root t, a) in
+    List.iter
+      (fun (name, (t1, a1), (t2, a2)) ->
+        let got = k.diff t1 t2 and want = reference_region store (side t1 a1) (side t2 a2) in
+        if got <> want then
+          fail "diff_region %s = %s, reference %s" name (show_region got) (show_region want))
+      [ ("base/left", (tb, b), (tl, l)); ("base/right", (tb, b), (tr, r));
+        ("left/right", (tl, l), (tr, r)); ("left/base", (tl, l), (tb, b)) ];
+    let resolver = if Splitmix.bool rng then Merge.Manual else Merge.Choose_right in
+    let expected = reference_merge k store ~resolver (side tb b) (side tl l) (side tr r) in
+    let fresh_root a = k.root (k.build (Fbchunk.Chunk_store.mem_store ()) a) in
+    (match
+       ( Merge.merge_values store merge_cfg ~resolver ~base:(Some (k.value tb))
+           ~left:(k.value tl) ~right:(k.value tr),
+         expected )
+     with
+    | Merge.Merged v, `Content want ->
+        let m = k.unwrap v in
+        if k.elems m <> want then fail "merged content differs from the reference";
+        if not (Cid.equal (k.root m) (fresh_root want)) then
+          fail "merged root is not the fresh build's (base/left/right %d/%d/%d elements)"
+            (Array.length b) (Array.length l) (Array.length r)
+    | Merge.Conflicts [ c ], `Conflict want ->
+        if c <> want then fail "conflict differs from the reference"
+    | Merge.Merged _, `Conflict _ -> fail "merged where the reference conflicts"
+    | Merge.Conflicts _, _ -> fail "conflicts where the reference does not");
+    match k.merge_by_ref ~base:tb tl tr with
+    | None -> ()
+    | Some m -> (
+        incr by_ref;
+        match expected with
+        | `Content want ->
+            if not (Cid.equal (k.root m) (fresh_root want)) then
+              fail "merge_by_ref root is not the fresh build's"
+        | `Conflict _ -> fail "merge_by_ref merged a conflict")
+  done;
+  !by_ref
+
+let prop_positional_merge seed =
+  let rng = Splitmix.create seed in
+  let store = Fbchunk.Chunk_store.mem_store () in
+  List.iter
+    (fun (name, run) ->
+      (* a trial whose merges never went by reference tests only half *)
+      if run () = 0 then failwith (name ^ ": no merge went by reference"))
+    [
+      ("blob", fun () -> merge_trials blob_kind rng store ~trials:100);
+      ("list", fun () -> merge_trials list_kind rng store ~trials:100);
+    ]
+
 (* --- sorted trees (Fmap/Fset) vs sorted-list models ---------------- *)
 
 let prop_sorted seed =
@@ -313,5 +625,7 @@ let () =
         [
           suite "splice/diff round-trips (200 splices)" prop_splice;
           suite "sorted trees vs sorted models (200 ops)" prop_sorted;
+          suite "blob/list diff and merge vs element-wise references (200 merges)"
+            prop_positional_merge;
         ] );
     ]
