@@ -48,8 +48,6 @@ let sink : sink option ref = ref None
 let set_sink ~dir ~git_rev ~scale =
   sink := Some { dir; git_rev; scale; areas = []; current = None }
 
-let enabled () = Option.is_some !sink
-
 let begin_experiment ~area ~id =
   match !sink with
   | None -> ()

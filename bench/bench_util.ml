@@ -119,7 +119,6 @@ let row_header columns =
 let row cells = Printf.printf "%s\n%!" (String.concat "\t" cells)
 
 let ms seconds = Printf.sprintf "%.3f" (seconds *. 1000.0)
-let us seconds = Printf.sprintf "%.1f" (seconds *. 1_000_000.0)
 
 let human_bytes b =
   if b >= 10 * 1024 * 1024 then Printf.sprintf "%.1fMB" (float_of_int b /. 1048576.0)

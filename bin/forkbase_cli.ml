@@ -269,7 +269,7 @@ let server_config =
                 allocating them.")
   in
   let make max_conns idle_timeout max_frame_bytes =
-    { Fbremote.Server.default_config with max_conns; idle_timeout; max_frame_bytes }
+    { Fbremote.Server.max_conns; idle_timeout; max_frame_bytes }
   in
   Term.(const make $ max_conns $ idle_timeout $ max_frame_bytes)
 
@@ -463,7 +463,7 @@ let lint_cmd =
   let run baseline_path write_baseline json paths =
     let paths =
       match paths with
-      | [] -> [ "lib"; "bin"; "test/test_remote.ml" ]
+      | [] -> Fblint.Finding.source_roots
       | ps -> ps
     in
     if write_baseline then begin
@@ -527,9 +527,9 @@ let lint_cmd =
           discipline, EINTR-safe syscalls, no partial functions, typed \
           errors, no swallowed exceptions, dune hygiene, plus the \
           call-graph analyses (event-loop blocking, wire-protocol \
-          exhaustiveness, fd discipline) (default paths: lib bin \
-          test/test_remote.ml; exits 0 when clean, 2 when findings were \
-          all baseline-tolerated, 1 on new findings)")
+          exhaustiveness, fd discipline, dead exports) (default paths: \
+          lib bin bench test perfbench examples; exits 0 when clean, 2 \
+          when findings were all baseline-tolerated, 1 on new findings)")
     Term.(const run $ baseline_arg $ write_flag $ json_flag $ paths_arg)
 
 (* --- sharded serving: shard processes and rebalance --- *)

@@ -5,12 +5,7 @@
     Used with the LSM store it is the paper's "Rocksdb" baseline; used with
     ForkBase-as-plain-KV it is "ForkBase-KV". *)
 
-type kv = {
-  kv_name : string;
-  kput : string -> string -> unit;
-  kget : string -> string option;
-  kbytes : unit -> int;
-}
+type kv
 
 val lsm_kv : Lsm.Lsm_store.t -> kv
 val forkbase_kv : Forkbase.Db.t -> kv

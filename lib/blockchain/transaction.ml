@@ -14,16 +14,6 @@ let encode buf t =
       Codec.string buf k;
       Codec.string buf v
 
-let decode r =
-  let contract = Codec.read_string r in
-  match (Codec.read_raw r 1).[0] with
-  | 'r' -> { contract; op = Get (Codec.read_string r) }
-  | 'w' ->
-      let k = Codec.read_string r in
-      let v = Codec.read_string r in
-      { contract; op = Put (k, v) }
-  | c -> raise (Codec.Corrupt (Printf.sprintf "invalid txn op %C" c))
-
 let digest_batch txns =
   let buf = Buffer.create 1024 in
   List.iter (encode buf) txns;

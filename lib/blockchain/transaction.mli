@@ -5,7 +5,5 @@ type op = Get of string | Put of string * string
 
 type t = { contract : string; op : op }
 
-val encode : Buffer.t -> t -> unit
-val decode : Fbutil.Codec.reader -> t
 val digest_batch : t list -> string
 val of_ycsb : contract:string -> Workload.Ycsb.op -> t

@@ -63,7 +63,6 @@ type report = {
 
 val ok : report -> bool
 val violation_cid : violation -> Fbchunk.Cid.t option
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 val pp_report : Format.formatter -> report -> unit
 

@@ -64,7 +64,6 @@ val apply_merge_untagged :
 
 (** {1 Introspection — for generators choosing valid next operations} *)
 
-val keys : t -> string list
 val branches : t -> key:string -> string list
 val head : t -> key:string -> branch:string -> Fbchunk.Cid.t option
 val untagged : t -> key:string -> Fbchunk.Cid.t list

@@ -136,7 +136,6 @@ let crash t =
   close_out_noerr t.oc;
   close_in_noerr t.ic
 
-let path t = t.file
 let file_size t = t.tail
 
 let put t chunk =

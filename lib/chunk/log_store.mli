@@ -43,5 +43,4 @@ val flush : t -> unit
 val sync : t -> unit
 (** [flush] plus [fsync]: survives power loss. *)
 
-val path : t -> string
 val file_size : t -> int

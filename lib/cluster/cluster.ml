@@ -26,7 +26,7 @@ let two_layer_store locals i =
   let mem cid = local.Store.mem cid || locals.(route cid).Store.mem cid in
   { Store.put; get; mem; stats = local.Store.stats }
 
-let create ?(cfg = Fbtree.Tree_config.default) ~n mode =
+let create ~n mode =
   if n <= 0 then invalid_arg "Cluster.create";
   let locals = Array.init n (fun _ -> Store.mem_store ()) in
   let servlets =
@@ -36,7 +36,7 @@ let create ?(cfg = Fbtree.Tree_config.default) ~n mode =
           | One_layer -> locals.(i)
           | Two_layer -> two_layer_store locals i
         in
-        Forkbase.Db.create ~cfg store)
+        Forkbase.Db.create store)
   in
   { locals; servlets }
 

@@ -13,7 +13,7 @@ type mode = One_layer | Two_layer
 
 type t
 
-val create : ?cfg:Fbtree.Tree_config.t -> n:int -> mode -> t
+val create : n:int -> mode -> t
 
 val db_for_key : t -> string -> Forkbase.Db.t
 (** The servlet responsible for a key, as the dispatcher would route it. *)

@@ -7,7 +7,7 @@ type config = {
   route : int -> int;
 }
 
-type result = { throughput : float; avg_latency : float; makespan : float }
+type result = { throughput : float; avg_latency : float }
 
 (* Binary min-heap of timed events. *)
 module Heap = struct
@@ -117,5 +117,4 @@ let run cfg =
       (if !last_time > 0.0 then float_of_int !completed /. !last_time else 0.0);
     avg_latency =
       (if !completed > 0 then !total_latency /. float_of_int !completed else 0.0);
-    makespan = !last_time;
   }

@@ -20,7 +20,6 @@ type config = {
 type result = {
   throughput : float;  (** completed requests per simulated second *)
   avg_latency : float;  (** mean client-observed latency in seconds *)
-  makespan : float;
 }
 
 val run : config -> result

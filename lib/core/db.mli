@@ -17,19 +17,10 @@ type error =
   | Unknown_version of Fbchunk.Cid.t
   | Guard_failed of { expected : Fbchunk.Cid.t; actual : Fbchunk.Cid.t option }
   | Merge_conflicts of Merge.conflict list
-  | Permission_denied of string
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-type access = Read | Write
-
-val create :
-  ?cfg:Fbtree.Tree_config.t ->
-  ?acl:(key:string -> branch:string option -> access -> bool) ->
-  Fbchunk.Chunk_store.t ->
-  t
-(** [acl] is the access-control hook of §4.1; default allows everything. *)
+val create : ?cfg:Fbtree.Tree_config.t -> Fbchunk.Chunk_store.t -> t
 
 val store : t -> Fbchunk.Chunk_store.t
 val cfg : t -> Fbtree.Tree_config.t
@@ -160,10 +151,6 @@ val merge_untagged :
 
 val track :
   ?branch:string -> t -> key:string -> dist_range:int * int ->
-  ((int * Fbchunk.Cid.t * Fobject.t) list, error) result
-
-val track_version :
-  t -> Fbchunk.Cid.t -> dist_range:int * int ->
   ((int * Fbchunk.Cid.t * Fobject.t) list, error) result
 
 val lca :

@@ -10,6 +10,9 @@
      [open Unix] a bare [select] is visible to a rule banning
      [Unix.select];
    - [module W = Wire] aliases are expanded before lookup;
+   - opens and aliases count unit-wide wherever they appear ([let open M
+     in], [M.(...)], [let module W = Wire in], nested modules) — coarser
+     than real scoping;
    - a qualified [Lib.Module.name] also tries its suffixes, so the
      library-wrapped [Fbremote.Wire.foo] meets the unit [wire.ml];
    - functor applications ([F(X).g]) and anything else that cannot be
@@ -29,8 +32,10 @@ type unit_ = {
   u_file : string;
   u_scope : string;
   u_module : string;  (* "Server" for any .../server.ml *)
-  mutable u_opens : string list;  (* heads of [open M] / [let open M in] *)
-  mutable u_aliases : (string * string list) list;  (* module W = Wire *)
+  u_opens : string list;  (* opened units: [open Fbsoak.Soak] opens Soak *)
+  u_aliases : (string * string list) list;  (* module W = Wire *)
+  u_idents : string list list;  (* every identifier path in the unit *)
+  u_wholes : string list list;  (* functor arguments, packs, includes *)
 }
 
 type site = { s_parts : string list; s_line : int }
@@ -39,7 +44,6 @@ type def = {
   d_unit : unit_;
   d_path : string;  (* "serve", or "Sub.helper" inside module Sub *)
   d_line : int;
-  d_functor : bool;  (* defined inside a functor body *)
   d_sites : site list;
 }
 
@@ -48,14 +52,14 @@ type t = {
   (* (unit module name, def path) -> defs; collisions across same-named
      files are unioned, which only ever adds edges *)
   index : (string * string, def list) Hashtbl.t;
+  (* (module, value) -> scopes of the units mentioning it, and module ->
+     scopes of the units using it whole; both multi-bound *)
+  named_refs : (string * string, string) Hashtbl.t;
+  whole_refs : (string, string) Hashtbl.t;
 }
 
 let def_name d = d.d_unit.u_module ^ "." ^ d.d_path
 let def_path d = d.d_path
-let def_line d = d.d_line
-let def_file d = d.d_unit.u_file
-let def_scope d = d.d_unit.u_scope
-let def_in_functor d = d.d_functor
 
 let module_of_file file =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
@@ -70,7 +74,60 @@ let rec flatten_safe : Longident.t -> string list = function
 (* ------------------------------------------------------------------ *)
 (* Building one unit's defs                                            *)
 
-let sites_of_expression u (e : Parsetree.expression) =
+(* One pass over the whole unit: its opens and module aliases (wherever
+   they appear), every identifier it mentions, and every module it uses
+   whole. *)
+let scan file (structure : Parsetree.structure) =
+  let idents = ref [] and opens = ref [] and aliases = ref [] in
+  let wholes = ref [] in
+  let push r txt = r := flatten_safe txt :: !r in
+  let alias name txt = aliases := (name, flatten_safe txt) :: !aliases in
+  let d = Ast_iterator.default_iterator in
+  let it =
+    {
+      d with
+      expr =
+        (fun self e ->
+          match e.pexp_desc with
+          | Pexp_ident { txt; _ } -> push idents txt
+          | Pexp_letmodule
+              ( { txt = Some name; _ },
+                { pmod_desc = Pmod_ident { txt; _ }; _ },
+                body ) ->
+              alias name txt;
+              self.expr self body
+          | _ -> d.expr self e);
+      module_binding =
+        (fun self mb ->
+          match (mb.pmb_name.txt, mb.pmb_expr.pmod_desc) with
+          | Some name, Pmod_ident { txt; _ } -> alias name txt
+          | _ -> d.module_binding self mb);
+      open_declaration =
+        (fun self od ->
+          match od.popen_expr.pmod_desc with
+          | Pmod_ident { txt; _ } -> push opens txt
+          | _ -> d.open_declaration self od);
+      module_expr =
+        (fun self me ->
+          (match me.pmod_desc with
+          | Pmod_ident { txt; _ } -> push wholes txt
+          | _ -> ());
+          d.module_expr self me);
+    }
+  in
+  it.structure it structure;
+  let last parts = List.nth_opt (List.rev parts) 0 in
+  {
+    u_file = file;
+    u_scope = Finding.scope_of_file file;
+    u_module = module_of_file file;
+    u_opens = List.filter_map last !opens |> List.sort_uniq String.compare;
+    u_aliases = !aliases;
+    u_idents = !idents;
+    u_wholes = !wholes;
+  }
+
+let sites_of_expression (e : Parsetree.expression) =
   let acc = ref [] in
   let expr_iter (self : Ast_iterator.iterator) (e : Parsetree.expression) =
     (match e.pexp_desc with
@@ -78,14 +135,6 @@ let sites_of_expression u (e : Parsetree.expression) =
         acc :=
           { s_parts = flatten_safe txt; s_line = e.pexp_loc.loc_start.pos_lnum }
           :: !acc
-    | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, _)
-      -> (
-        (* [let open M in ...] widens the whole unit's open set — coarser
-           than real scoping, purely additive (conservative). *)
-        match flatten_safe txt with
-        | head :: _ when not (List.mem head u.u_opens) ->
-            u.u_opens <- head :: u.u_opens
-        | _ -> ())
     | _ -> ());
     Ast_iterator.default_iterator.expr self e
   in
@@ -101,15 +150,14 @@ let rec pattern_vars (p : Parsetree.pattern) =
   | Ppat_constraint (inner, _) -> pattern_vars inner
   | _ -> []
 
-let rec defs_of_structure u ~prefix ~in_functor
-    (structure : Parsetree.structure) =
+let rec defs_of_structure u ~prefix (structure : Parsetree.structure) =
   List.concat_map
     (fun (item : Parsetree.structure_item) ->
       match item.pstr_desc with
       | Pstr_value (_, bindings) ->
           List.concat_map
             (fun (vb : Parsetree.value_binding) ->
-              let sites = sites_of_expression u vb.pvb_expr in
+              let sites = sites_of_expression vb.pvb_expr in
               let line = vb.pvb_loc.loc_start.pos_lnum in
               List.map
                 (fun name ->
@@ -117,59 +165,74 @@ let rec defs_of_structure u ~prefix ~in_functor
                     d_unit = u;
                     d_path = prefix ^ name;
                     d_line = line;
-                    d_functor = in_functor;
                     d_sites = sites;
                   })
                 (pattern_vars vb.pvb_pat))
             bindings
-      | Pstr_module mb -> defs_of_module u ~prefix ~in_functor mb
+      | Pstr_module mb -> defs_of_module u ~prefix mb
       | Pstr_recmodule mbs ->
-          List.concat_map (defs_of_module u ~prefix ~in_functor) mbs
-      | Pstr_open
-          { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } -> (
-          (match flatten_safe txt with
-          | head :: _ when not (List.mem head u.u_opens) ->
-              u.u_opens <- head :: u.u_opens
-          | _ -> ());
-          [])
+          List.concat_map (defs_of_module u ~prefix) mbs
       | _ -> [])
     structure
 
-and defs_of_module u ~prefix ~in_functor (mb : Parsetree.module_binding) =
+and defs_of_module u ~prefix (mb : Parsetree.module_binding) =
   match mb.pmb_name.txt with
   | None -> []
   | Some name ->
-      let rec strip (me : Parsetree.module_expr) ~in_functor =
+      let rec strip (me : Parsetree.module_expr) =
         match me.pmod_desc with
         | Pmod_structure s ->
-            defs_of_structure u ~prefix:(prefix ^ name ^ ".") ~in_functor s
-        | Pmod_functor (_, body) -> strip body ~in_functor:true
-        | Pmod_constraint (inner, _) -> strip inner ~in_functor
-        | Pmod_ident { txt; _ } ->
-            (* [module W = Wire]: record the alias (top level only; the
-               prefix check keeps nested-module aliases out of the
-               unit-wide table). *)
-            if String.equal prefix "" then
-              u.u_aliases <- (name, flatten_safe txt) :: u.u_aliases;
-            []
+            defs_of_structure u ~prefix:(prefix ^ name ^ ".") s
+        | Pmod_functor (_, body) | Pmod_constraint (body, _) -> strip body
         | _ -> []
       in
-      strip mb.pmb_expr ~in_functor
+      strip mb.pmb_expr
 
 let build_unit (file, structure) =
-  let u =
-    {
-      u_file = file;
-      u_scope = Finding.scope_of_file file;
-      u_module = module_of_file file;
-      u_opens = [];
-      u_aliases = [];
-    }
+  let u = scan file structure in
+  (u, defs_of_structure u ~prefix:"" structure)
+
+(* ------------------------------------------------------------------ *)
+(* References                                                          *)
+
+(* Who mentions what, for the dead-export rule: every identifier anywhere
+   in a unit — [let () = ...] and functor arguments included — resolved
+   additively: local definitions do not shadow opens, and a module used
+   whole (a functor argument, a packed first-class module, an [include])
+   references every value it exports.  Each approximation adds
+   references, so the rule may miss a dead export, never invent one. *)
+let references u =
+  (* every form a path may denote: itself and, boundedly so that alias
+     cycles terminate, its head substituted through any alias of it *)
+  let rec forms depth parts =
+    match parts with
+    | head :: rest when depth > 0 ->
+        parts
+        :: List.concat_map
+             (fun (name, target) ->
+               if String.equal name head then forms (depth - 1) (target @ rest)
+               else [])
+             u.u_aliases
+    | _ -> [ parts ]
   in
-  defs_of_structure u ~prefix:"" ~in_functor:false structure
+  let named =
+    List.concat_map
+      (function
+        | [ v ] -> List.concat_map (fun o -> forms 4 [ o; v ]) u.u_opens
+        | parts -> forms 4 parts)
+      u.u_idents
+    |> List.filter_map (fun parts ->
+           match List.rev parts with v :: m :: _ -> Some (m, v) | _ -> None)
+  in
+  let whole =
+    List.concat_map (forms 4) u.u_wholes
+    |> List.filter_map (fun parts -> List.nth_opt (List.rev parts) 0)
+  in
+  (List.sort_uniq compare named, List.sort_uniq String.compare whole)
 
 let build units =
-  let all_defs = List.concat_map build_unit units in
+  let built = List.map build_unit units in
+  let all_defs = List.concat_map snd built in
   let index = Hashtbl.create 256 in
   List.iter
     (fun d ->
@@ -179,7 +242,19 @@ let build units =
       in
       Hashtbl.replace index key (d :: prev))
     all_defs;
-  { all_defs; index }
+  let named_refs = Hashtbl.create 4096 and whole_refs = Hashtbl.create 256 in
+  List.iter
+    (fun (u, _) ->
+      let named, whole = references u in
+      List.iter (fun key -> Hashtbl.add named_refs key u.u_scope) named;
+      List.iter (fun m -> Hashtbl.add whole_refs m u.u_scope) whole)
+    built;
+  { all_defs; index; named_refs; whole_refs }
+
+let referrers t ~module_ value =
+  Hashtbl.find_all t.named_refs (module_, value)
+  @ Hashtbl.find_all t.whole_refs module_
+  |> List.sort_uniq String.compare
 
 let defs_in t ~scope =
   List.filter (fun d -> String.equal d.d_unit.u_scope scope) t.all_defs

@@ -21,30 +21,18 @@ val flatten_safe : Longident.t -> string list
 type def
 (** One top-level value definition. *)
 
-val def_name : def -> string
-(** ["Module.path"], e.g. ["Server.serve"] or ["Wire.Sub.helper"]. *)
-
 val def_path : def -> string
 (** The path inside its unit, e.g. ["serve"] or ["Sub.helper"]. *)
-
-val def_line : def -> int
-
-val def_file : def -> string
-
-val def_scope : def -> string
-(** Repo-relative path of the defining unit (see
-    {!Finding.scope_of_file}). *)
-
-val def_in_functor : def -> bool
-(** The definition sits inside a functor body: calls {e into} it cannot
-    be resolved (the graph treats functor application conservatively),
-    but it can still serve as an analysis root. *)
 
 val build : (string * Parsetree.structure) list -> t
 (** Build the graph from named parsetrees.  The unit's module name is
     derived from the file's basename ([.../log_store.ml] is
     [Log_store]); same-named files union their definitions, which only
     adds edges. *)
+
+val module_of_file : string -> string
+(** The unit name a source file defines: [.../log_store.mli] is
+    [Log_store]. *)
 
 val defs_in : t -> scope:string -> def list
 (** The definitions of the unit whose repo-relative path is [scope]. *)
@@ -68,3 +56,11 @@ val reach :
     blessed wrappers), a site matching [target] is reported with its
     call chain, and anything else that resolves is traversed.  Cycles
     terminate via the visited set. *)
+
+val referrers : t -> module_:string -> string -> string list
+(** [referrers t ~module_ v]: the repo-relative scopes of every unit that
+    may mention [module_.v] — anywhere in its structure, through a
+    qualified path (wrapper prefixes dropped), an alias or an open at any
+    depth, or by using [module_] whole (a functor argument, a packed
+    module, an [include]).  Local definitions do not shadow opens here:
+    every approximation adds referrers, never removes one. *)

@@ -8,6 +8,7 @@ type rule =
   | No_block_in_loop
   | Wire_exhaustiveness
   | Fd_discipline
+  | Dead_export
   | Lint_usage
   | Parse_error
 
@@ -22,6 +23,7 @@ let all_rules =
     No_block_in_loop;
     Wire_exhaustiveness;
     Fd_discipline;
+    Dead_export;
     Lint_usage;
     Parse_error;
   ]
@@ -36,6 +38,7 @@ let rule_id = function
   | No_block_in_loop -> "no-block-in-loop"
   | Wire_exhaustiveness -> "wire-exhaustiveness"
   | Fd_discipline -> "fd-discipline"
+  | Dead_export -> "dead-export"
   | Lint_usage -> "lint-usage"
   | Parse_error -> "parse-error"
 
@@ -50,6 +53,8 @@ type t = {
   message : string;
 }
 
+let source_roots = [ "lib"; "bin"; "bench"; "test"; "perfbench"; "examples" ]
+
 (* "x/y/_build/default/lib/core/db.ml" and "../lib/core/db.ml" both
    normalize to "lib/core/db.ml": take the path from its first top-level
    source segment onward. *)
@@ -57,23 +62,19 @@ let scope_of_file file =
   let parts = String.split_on_char '/' file in
   let rec from_root = function
     | [] -> None
-    | ("lib" | "bin" | "test" | "bench") :: _ as tail ->
+    | root :: _ as tail when List.exists (String.equal root) source_roots ->
         Some (String.concat "/" tail)
     | _ :: tail -> from_root tail
   in
   match from_root parts with Some scoped -> scoped | None -> file
 
+let in_lib scope = String.starts_with ~prefix:"lib/" scope
+
+let in_lib_or_bin scope =
+  in_lib scope || String.starts_with ~prefix:"bin/" scope
+
 let v ~rule ~file ~line message =
   { rule; file; scope = scope_of_file file; line; message }
-
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let in_lib t = starts_with ~prefix:"lib/" t.scope
-
-let in_lib_or_bin t =
-  starts_with ~prefix:"lib/" t.scope || starts_with ~prefix:"bin/" t.scope
 
 let compare a b =
   match String.compare a.scope b.scope with

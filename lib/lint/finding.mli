@@ -24,12 +24,13 @@ type rule =
   | Fd_discipline
       (** a [Unix.openfile]/[socket]/[accept] result neither closed on
           every path nor escaping to an owner *)
+  | Dead_export
+      (** a top-level [val] in a [lib/] interface that no unit outside its
+          own module references *)
   | Lint_usage
       (** broken lint annotations (unknown rule in a suppression, or a
           suppression that suppresses nothing) *)
   | Parse_error  (** the analyzer could not parse the source *)
-
-val all_rules : rule list
 
 val rule_id : rule -> string
 (** Stable kebab-case id, used in suppressions and baselines. *)
@@ -47,13 +48,19 @@ type t = {
 val v : rule:rule -> file:string -> line:int -> string -> t
 (** Build a finding; [scope] is derived from [file] (see {!scope_of_file}). *)
 
+val source_roots : string list
+(** The repository's source directories: [lib], [bin], [bench], [test],
+    [perfbench] and [examples] — what [forkbase lint] walks by default. *)
+
 val scope_of_file : string -> string
-(** Repo-relative normalization: the path from its first [lib]/[bin]/
-    [test]/[bench] segment onward ("../lib/core/db.ml" becomes
+(** Repo-relative normalization: the path from its first
+    {!source_roots} segment onward ("../lib/core/db.ml" becomes
     "lib/core/db.ml"); unchanged when no such segment occurs. *)
 
-val in_lib : t -> bool
-val in_lib_or_bin : t -> bool
+val in_lib : string -> bool
+val in_lib_or_bin : string -> bool
+(** Scope predicates on a repo-relative path: the per-file rules judge
+    [lib/] (and [bin/]) sources only. *)
 
 val compare : t -> t -> int
 (** Order by scope path, then line, then rule id. *)

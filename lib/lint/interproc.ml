@@ -18,13 +18,6 @@ let last2 parts =
   | v :: m :: _ -> Some (m, v)
   | _ -> None
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let in_lib_or_bin scope =
-  starts_with ~prefix:"lib/" scope || starts_with ~prefix:"bin/" scope
-
 (* ------------------------------------------------------------------ *)
 (* no-block-in-loop                                                    *)
 
@@ -68,8 +61,8 @@ let head_matches table parts =
 
 let is_handler_name path =
   String.equal path "serve" || String.equal path "handle"
-  || starts_with ~prefix:"handle_" path
-  || starts_with ~prefix:"on_" path
+  || String.starts_with ~prefix:"handle_" path
+  || String.starts_with ~prefix:"on_" path
 
 let no_block_in_loop graph =
   let roots =
@@ -341,12 +334,52 @@ let fd_findings ~file structure =
 let fd_discipline units =
   List.concat_map
     (fun (file, structure) ->
-      if in_lib_or_bin (F.scope_of_file file) then fd_findings ~file structure
+      if F.in_lib_or_bin (F.scope_of_file file) then fd_findings ~file structure
       else [])
     units
 
 (* ------------------------------------------------------------------ *)
+(* dead-export                                                         *)
 
-let analyze units =
+(* An export is judged against every source root at once: with a root
+   missing from the analyzed set, its users are unseen, so linting a
+   subtree reports nothing rather than inventing dead exports. *)
+let dead_export graph units interfaces =
+  let has_root root =
+    List.exists
+      (fun (file, _) ->
+        String.starts_with ~prefix:(root ^ "/") (F.scope_of_file file))
+      units
+  in
+  if not (List.for_all has_root F.source_roots) then []
+  else
+    List.filter (fun (file, _) -> F.in_lib (F.scope_of_file file)) interfaces
+    |> List.concat_map (fun (file, (signature : Parsetree.signature)) ->
+           let own = Filename.remove_extension (F.scope_of_file file) ^ ".ml" in
+           let module_ = C.module_of_file file in
+           let dead name =
+             List.for_all (String.equal own) (C.referrers graph ~module_ name)
+           in
+           (* top-level vals only: nested signatures, functor results and
+              [include]d signatures are skipped *)
+           List.filter_map
+             (fun (item : Parsetree.signature_item) ->
+               match item.psig_desc with
+               | Psig_value { pval_name = { txt = name; _ }; pval_loc; _ }
+                 when dead name ->
+                   Some
+                     (F.v ~rule:F.Dead_export ~file ~line:(line_of pval_loc)
+                        (Printf.sprintf
+                           "%s.%s is exported but nothing outside %s \
+                            references it; delete it, or drop it from the \
+                            interface if %s still uses it"
+                           module_ name (Filename.basename own) module_))
+               | _ -> None)
+             signature)
+
+(* ------------------------------------------------------------------ *)
+
+let analyze units interfaces =
   let graph = C.build units in
   no_block_in_loop graph @ wire_exhaustiveness units @ fd_discipline units
+  @ dead_export graph units interfaces

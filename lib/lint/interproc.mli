@@ -29,15 +29,19 @@
       without consuming, and so does [ignore].  Exception paths are
       checked only where the
       source names them; wrap the region in [Fun.protect] where an
-      unhandled exception between acquisition and release matters. *)
+      unhandled exception between acquisition and release matters.
+    - {b dead-export} — a top-level [val] in a [lib/**/*.mli] is a
+      finding when no unit outside its own module references it
+      ({!Callgraph.referrers}: aliases, opens and wrapper prefixes
+      resolved, a test-only user counts as a user).  [val]s inside nested
+      signatures, functor results and [include]s are never judged, and
+      the rule runs only when the set holds units from every source root
+      ([lib], [bin], [bench], [test], [perfbench], [examples]). *)
 
-val no_block_in_loop : Callgraph.t -> Finding.t list
-
-val wire_exhaustiveness :
-  (string * Parsetree.structure) list -> Finding.t list
-
-val fd_discipline : (string * Parsetree.structure) list -> Finding.t list
-
-val analyze : (string * Parsetree.structure) list -> Finding.t list
-(** All three analyses over one parsed unit set (builds the call graph
-    itself). *)
+val analyze :
+  (string * Parsetree.structure) list ->
+  (string * Parsetree.signature) list ->
+  Finding.t list
+(** All four analyses over one parsed set: implementations (the call
+    graph is built from these) and the interfaces whose exports
+    dead-export judges. *)

@@ -3,10 +3,6 @@ module F = Finding
 (* ------------------------------------------------------------------ *)
 (* dune-hygiene                                                        *)
 
-let ends_with ~suffix s =
-  let n = String.length s and m = String.length suffix in
-  n >= m && String.equal (String.sub s (n - m) m) suffix
-
 let declares_library dune_text =
   (* token-level scan: a "(library" stanza opener *)
   String.split_on_char '(' dune_text
@@ -37,15 +33,9 @@ let rec relaxed_w_flag = function
   | "-w" :: spec :: rest -> relaxes_warnings spec || relaxed_w_flag rest
   | _ :: rest -> relaxed_w_flag rest
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
 let hygiene_of_listing ~dir ~dune ~files =
   let scope_dir = F.scope_of_file dir in
-  let in_lib =
-    String.equal scope_dir "lib" || starts_with ~prefix:"lib/" scope_dir
-  in
+  let in_lib = String.equal scope_dir "lib" || F.in_lib scope_dir in
   match dune with
   | None -> []
   | Some dune_text ->
@@ -54,7 +44,7 @@ let hygiene_of_listing ~dir ~dune ~files =
           List.filter_map
             (fun f ->
               if
-                ends_with ~suffix:".ml" f
+                String.ends_with ~suffix:".ml" f
                 && (not (String.length f > 0 && f.[0] = '.'))
                 && not (List.exists (String.equal (f ^ "i")) files)
               then
@@ -89,9 +79,6 @@ let hygiene_of_listing ~dir ~dune ~files =
    syntactic rule, and an annotation that hides nothing is itself
    reported (lint-usage), keeping suppressions honest as code moves. *)
 
-let in_lib_or_bin_scope scope =
-  starts_with ~prefix:"lib/" scope || starts_with ~prefix:"bin/" scope
-
 let apply_suppressions units findings =
   let remaining = ref findings in
   let out = ref [] in
@@ -103,7 +90,11 @@ let apply_suppressions units findings =
       in
       remaining := others;
       let sup, bad = Rules.suppressions source in
-      let bad = List.map (fun (f : F.t) -> { f with F.file; scope }) bad in
+      let bad =
+        if F.in_lib_or_bin scope then
+          List.map (fun (f : F.t) -> { f with F.file; scope }) bad
+        else []
+      in
       let sup = List.map (fun (line, rule) -> (line, rule, ref false)) sup in
       let kept =
         List.filter
@@ -123,7 +114,7 @@ let apply_suppressions units findings =
          could actually look (the file parsed, and rules apply to its
          scope at all). *)
       let unused =
-        if parsed_ok && in_lib_or_bin_scope scope then
+        if parsed_ok && F.in_lib_or_bin scope then
           List.filter_map
             (fun (line, rule, used) ->
               if !used then None
@@ -141,31 +132,41 @@ let apply_suppressions units findings =
     units;
   !remaining @ !out
 
-let analyze_sources units =
+let lint_sources units =
+  let intfs, impls =
+    List.partition (fun (file, _) -> String.ends_with ~suffix:".mli" file) units
+  in
   let parsed =
     List.filter_map
       (fun (file, source) ->
         match Rules.parse_structure ~file source with
         | Ok structure -> Some (file, structure)
         | Error _ -> None)
-      units
+      impls
+  in
+  let interfaces, interface_errors =
+    List.partition_map
+      (fun (file, source) ->
+        match Rules.parse_signature ~file source with
+        | Ok signature -> Left (file, signature)
+        | Error (line, message) ->
+            Right
+              (F.v ~rule:F.Parse_error ~file ~line
+                 ("cannot parse: " ^ message)))
+      intfs
   in
   let raw =
-    List.concat_map (fun (file, source) -> Rules.syntactic ~file source) units
-    @ Interproc.analyze parsed
+    List.concat_map (fun (file, source) -> Rules.syntactic ~file source) impls
+    @ interface_errors
+    @ Interproc.analyze parsed interfaces
+  in
+  let parsed_ok file =
+    List.mem_assoc file parsed || List.mem_assoc file interfaces
   in
   let units =
-    List.map
-      (fun (file, source) ->
-        ( file,
-          source,
-          List.exists (fun (f, _) -> String.equal f file) parsed ))
-      units
+    List.map (fun (file, source) -> (file, source, parsed_ok file)) units
   in
   apply_suppressions units raw |> List.sort_uniq F.compare
-
-let lint_source ~file source = analyze_sources [ (file, source) ]
-let lint_sources units = analyze_sources units
 
 (* ------------------------------------------------------------------ *)
 (* Tree walking                                                        *)
@@ -184,6 +185,18 @@ let is_dir path =
   match Sys.is_directory path with
   | b -> b
   | exception Sys_error _ -> false
+
+let is_source name =
+  String.ends_with ~suffix:".ml" name || String.ends_with ~suffix:".mli" name
+
+(* One source into the unit set; an unreadable path is a finding. *)
+let add_source (units, findings) path =
+  match read_file path with
+  | Ok source -> ((path, source) :: units, findings)
+  | Error msg ->
+      ( units,
+        F.v ~rule:F.Parse_error ~file:path ~line:1 ("cannot read: " ^ msg)
+        :: findings )
 
 (* Walk a tree accumulating (units to analyze, findings): sources feed
    the pipeline as a single set (the interprocedural analyses need to
@@ -209,46 +222,20 @@ let rec walk (units, findings) path =
     List.fold_left
       (fun acc name ->
         let child = Filename.concat path name in
-        if is_dir child then
-          if skip_dir name then acc else walk acc child
-        else if ends_with ~suffix:".ml" name then
-          let units, findings = acc in
-          match read_file child with
-          | Ok source -> ((child, source) :: units, findings)
-          | Error msg ->
-              ( units,
-                F.v ~rule:F.Parse_error ~file:child ~line:1
-                  ("cannot read: " ^ msg)
-                :: findings )
-        else acc)
+        if skip_dir name && is_dir child then acc else walk acc child)
       (units, findings) entries
   end
-  else if ends_with ~suffix:".ml" path then
-    match read_file path with
-    | Ok source -> ((path, source) :: units, findings)
-    | Error msg ->
-        ( units,
-          F.v ~rule:F.Parse_error ~file:path ~line:1 ("cannot read: " ^ msg)
-          :: findings )
+  else if is_source path then add_source (units, findings) path
   else (units, findings)
 
 let collect paths =
   let units, findings =
     List.fold_left
       (fun acc path ->
-        if Sys.file_exists path then walk acc path
-        else
-          let units, findings = acc in
-          ( units,
-            F.v ~rule:F.Parse_error ~file:path ~line:1
-              "no such file or directory"
-            :: findings ))
+        if Sys.file_exists path then walk acc path else add_source acc path)
       ([], []) paths
   in
-  analyze_sources (List.rev units) @ findings |> List.sort_uniq F.compare
-
-let run ?(baseline = Baseline.empty) paths =
-  Baseline.filter_new baseline (collect paths)
+  lint_sources (List.rev units) @ findings |> List.sort_uniq F.compare
 
 type report = { fresh : F.t list; tolerated : int }
 

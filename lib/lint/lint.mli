@@ -15,17 +15,13 @@
     raise on malformed input — unreadable files and unparsable sources
     become findings, never exceptions. *)
 
-val lint_source : file:string -> string -> Finding.t list
-(** Analyze one source text (suppressions applied, no baseline).  [file]
-    names it for locations and scoping — fixture tests pass paths like
-    ["lib/fixture.ml"] to opt into library-scope rules.  Interprocedural
-    analyses see only this one unit. *)
-
 val lint_sources : (string * string) list -> Finding.t list
-(** Analyze a set of [(file, source)] units together, so the
-    interprocedural analyses can resolve calls across them.  This is the
-    multi-file core that {!collect} feeds; fixture tests use it to model
-    a server unit calling into helpers defined elsewhere. *)
+(** Analyze a set of [(file, source)] units together (suppressions
+    applied, no baseline), so the interprocedural analyses can resolve
+    calls across them.  [file] names a unit for locations and scoping —
+    fixture tests pass paths like ["lib/fixture.ml"] to opt into
+    library-scope rules.  A unit named [*.mli] is an interface: only
+    dead-export reads it.  This is the core that {!collect} feeds. *)
 
 val hygiene_of_listing :
   dir:string -> dune:string option -> files:string list -> Finding.t list
@@ -38,16 +34,14 @@ val hygiene_of_listing :
 
 val collect : string list -> Finding.t list
 (** Walk the given files/directories (skipping [_build] and dot-dirs),
-    gather every [.ml] into one analysis set, apply dune-hygiene per
-    directory, and return all findings sorted.  Unreadable paths become
-    [parse-error] findings. *)
-
-val run : ?baseline:Baseline.t -> string list -> Finding.t list
-(** [collect] minus the baseline budget: the findings that should fail
-    the build.  Empty means the tree is clean. *)
+    gather every [.ml] and [.mli] into one analysis set, apply
+    dune-hygiene per directory, and return all findings sorted.
+    Unreadable paths become [parse-error] findings. *)
 
 type report = { fresh : Finding.t list; tolerated : int }
 (** A run's outcome for exit-code and [--json] purposes: the findings
     that escaped the baseline, and how many the baseline absorbed. *)
 
 val run_report : ?baseline:Baseline.t -> string list -> report
+(** [collect] minus the baseline budget: [fresh] empty means the tree is
+    clean. *)

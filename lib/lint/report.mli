@@ -14,7 +14,6 @@ val status : tolerated:int -> Finding.t list -> status
 (** Classify a run from its new findings and the count the baseline
     absorbed. *)
 
-val status_string : status -> string
 val exit_code : status -> int
 
 val to_json : tolerated:int -> Finding.t list -> string

@@ -7,17 +7,6 @@ module F = Finding
 (* ------------------------------------------------------------------ *)
 (* Scope predicates (on normalized repo-relative paths)                *)
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-let ends_with ~suffix s =
-  let n = String.length s and m = String.length suffix in
-  n >= m && String.equal (String.sub s (n - m) m) suffix
-
-let in_lib scope = starts_with ~prefix:"lib/" scope
-let in_lib_or_bin scope = in_lib scope || starts_with ~prefix:"bin/" scope
-
 (* The one place raw socket syscalls are legal: the hardened wire layer
    (EINTR retry, typed Connection_closed, SIGPIPE handling live there). *)
 let is_wire_module scope = String.equal scope "lib/remote/wire.ml"
@@ -25,7 +14,8 @@ let is_wire_module scope = String.equal scope "lib/remote/wire.ml"
 (* Modules implementing a digest type (lib/chunk/cid.ml) may never touch
    the polymorphic hash, even eta-reduced where no argument betrays the
    key type. *)
-let is_cid_module scope = in_lib scope && ends_with ~suffix:"/cid.ml" scope
+let is_cid_module scope =
+  F.in_lib scope && String.ends_with ~suffix:"/cid.ml" scope
 
 (* ------------------------------------------------------------------ *)
 (* Cid-shaped names                                                    *)
@@ -121,7 +111,8 @@ let check_structure ~file ~scope structure =
     match head_of_parts parts with
     | None -> ()
     | Some Poly_eq ->
-        if in_lib_or_bin scope && List.exists (fun (_, a) -> cid_valued a) args
+        if
+          F.in_lib_or_bin scope && List.exists (fun (_, a) -> cid_valued a) args
         then
           add F.Cid_discipline loc
             (Printf.sprintf
@@ -129,7 +120,8 @@ let check_structure ~file ~scope structure =
                 Cid.equal/Cid.compare"
                (String.concat "." parts))
     | Some Poly_mem ->
-        if in_lib_or_bin scope && List.exists (fun (_, a) -> cid_valued a) args
+        if
+          F.in_lib_or_bin scope && List.exists (fun (_, a) -> cid_valued a) args
         then
           add F.Cid_discipline loc
             (Printf.sprintf
@@ -138,7 +130,7 @@ let check_structure ~file ~scope structure =
                (String.concat "." parts))
     | Some Poly_hash ->
         if
-          in_lib_or_bin scope
+          F.in_lib_or_bin scope
           && (is_cid_module scope
              || List.exists (fun (_, a) -> cid_valued a) args)
         then
@@ -146,10 +138,11 @@ let check_structure ~file ~scope structure =
             "polymorphic Hashtbl.hash on digest material; use Cid.hash (or \
              seed Hashtbl.Make with an explicit hash)"
     | Some (Partial fn) ->
-        if in_lib scope then add F.No_partial loc (partial_msg fn)
-    | Some Failwith -> if in_lib scope then add F.Typed_errors loc failwith_msg
+        if F.in_lib scope then add F.No_partial loc (partial_msg fn)
+    | Some Failwith ->
+        if F.in_lib scope then add F.Typed_errors loc failwith_msg
     | Some (Syscall fn) ->
-        if in_lib_or_bin scope && not (is_wire_module scope) then
+        if F.in_lib_or_bin scope && not (is_wire_module scope) then
           add F.Syscall_discipline loc (syscall_msg fn)
   in
   let expr_iter (self : Ast_iterator.iterator) (e : Parsetree.expression) =
@@ -165,12 +158,12 @@ let check_structure ~file ~scope structure =
           pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None);
           _;
         } ->
-        if in_lib scope then
+        if F.in_lib scope then
           add F.Typed_errors e.pexp_loc
             "assert false in lib/; make the match total or raise a typed \
              error"
     | Pexp_try (_, cases) ->
-        if in_lib_or_bin scope then
+        if F.in_lib_or_bin scope then
           List.iter
             (fun (c : Parsetree.case) ->
               if pattern_swallows c.pc_lhs then
@@ -180,7 +173,7 @@ let check_structure ~file ~scope structure =
                    and log it")
             cases
     | Pexp_match (_, cases) ->
-        if in_lib_or_bin scope then
+        if F.in_lib_or_bin scope then
           List.iter
             (fun (c : Parsetree.case) ->
               if exception_case_swallows c.pc_lhs then
@@ -273,11 +266,11 @@ let suppressions source =
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 
-let parse_structure ~file source =
+let parse parser ~file source =
   let lexbuf = Lexing.from_string source in
   Lexing.set_filename lexbuf file;
-  match Parse.implementation lexbuf with
-  | structure -> Ok structure
+  match parser lexbuf with
+  | ast -> Ok ast
   | exception exn ->
       let line =
         match exn with
@@ -285,6 +278,9 @@ let parse_structure ~file source =
         | _ -> 1
       in
       Error (line, Printexc.to_string exn)
+
+let parse_structure ~file source = parse Parse.implementation ~file source
+let parse_signature ~file source = parse Parse.interface ~file source
 
 let syntactic ~file source =
   let scope = F.scope_of_file file in

@@ -19,6 +19,10 @@ val parse_structure :
 (** Parse one source, never raising: [Error (line, message)] on anything
     [Parse.implementation] rejects. *)
 
+val parse_signature :
+  file:string -> string -> (Parsetree.signature, int * string) result
+(** {!parse_structure} for an interface ([.mli]) source. *)
+
 val syntactic : file:string -> string -> Finding.t list
 (** [syntactic ~file source] parses [source] (named [file] for locations
     and scoping) and returns the raw per-expression findings —
@@ -28,7 +32,7 @@ val syntactic : file:string -> string -> Finding.t list
 
 val suppressions : string -> (int * Finding.rule) list * Finding.t list
 (** The hand-rolled comment scanner behind suppression handling:
-    [(line, rule)] pairs for each [lint: allow <rule>] annotation, plus
+    [(line, rule)] pairs for each allow-annotation, plus
     [lint-usage] findings for annotations naming unknown rules (these
     come back with an empty [file] the caller fills in).  A suppression
     covers findings of that rule on its own line and on the following

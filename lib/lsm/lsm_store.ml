@@ -16,7 +16,6 @@ let default_config =
   }
 
 type stats = {
-  sstables : int;
   levels : int;
   bytes : int;
   compactions : int;
@@ -212,7 +211,6 @@ let stats t =
     last 0 0
   in
   {
-    sstables = List.length all_tables;
     levels = (if t.level0 = [] then 0 else 1) + deepest;
     bytes = t.mem_bytes + level_bytes all_tables;
     compactions = t.compactions;

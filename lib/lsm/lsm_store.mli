@@ -14,8 +14,6 @@ type config = {
   level_ratio : int;  (** size ratio between consecutive levels *)
 }
 
-val default_config : config
-
 type t
 
 val create : ?config:config -> unit -> t
@@ -30,7 +28,6 @@ val flush : t -> unit
 (** Force the memtable into L0. *)
 
 type stats = {
-  sstables : int;
   levels : int;
   bytes : int;
   compactions : int;

@@ -1,7 +1,9 @@
 module SMap = Map.Make (String)
 
+(* Children per upper-level node. *)
+let fanout = 5
+
 type t = {
-  fanout : int;
   buckets : string SMap.t array;
   mutable levels : string array array;
       (* levels.(0) = bucket hashes; each upper level hashes [fanout]
@@ -27,12 +29,12 @@ let build_levels t =
   let rec go acc current =
     if Array.length current <= 1 then List.rev (current :: acc)
     else begin
-      let n = (Array.length current + t.fanout - 1) / t.fanout in
+      let n = (Array.length current + fanout - 1) / fanout in
       let upper =
         Array.init n (fun i ->
-            let lo = i * t.fanout in
-            let hi = min (lo + t.fanout) (Array.length current) in
-            let buf = Buffer.create (32 * t.fanout) in
+            let lo = i * fanout in
+            let hi = min (lo + fanout) (Array.length current) in
+            let buf = Buffer.create (32 * fanout) in
             for j = lo to hi - 1 do
               Buffer.add_string buf current.(j)
             done;
@@ -45,11 +47,10 @@ let build_levels t =
   in
   go [] (Array.map (hash_bucket t) t.buckets)
 
-let create ?(fanout = 5) ~num_buckets () =
+let create ~num_buckets () =
   if num_buckets <= 0 then invalid_arg "Bucket_tree.create";
   let t =
     {
-      fanout;
       buckets = Array.make num_buckets SMap.empty;
       levels = [||];
       hashed_bytes = 0;
@@ -65,15 +66,15 @@ let get t key = SMap.find_opt key t.buckets.(bucket_of t key)
 let rehash_path t dirty =
   let levels = t.levels in
   List.iter (fun b -> levels.(0).(b) <- hash_bucket t t.buckets.(b)) dirty;
-  let parents = List.sort_uniq compare (List.map (fun b -> b / t.fanout) dirty) in
+  let parents = List.sort_uniq compare (List.map (fun b -> b / fanout) dirty) in
   let rec up level parents =
     if level + 1 < Array.length levels then begin
       let current = levels.(level) and upper = levels.(level + 1) in
       List.iter
         (fun p ->
-          let lo = p * t.fanout in
-          let hi = min (lo + t.fanout) (Array.length current) in
-          let buf = Buffer.create (32 * t.fanout) in
+          let lo = p * fanout in
+          let hi = min (lo + fanout) (Array.length current) in
+          let buf = Buffer.create (32 * fanout) in
           for j = lo to hi - 1 do
             Buffer.add_string buf current.(j)
           done;
@@ -81,7 +82,7 @@ let rehash_path t dirty =
           t.hashed_bytes <- t.hashed_bytes + String.length bytes;
           upper.(p) <- Fbhash.Sha256.digest bytes)
         parents;
-      up (level + 1) (List.sort_uniq compare (List.map (fun p -> p / t.fanout) parents))
+      up (level + 1) (List.sort_uniq compare (List.map (fun p -> p / fanout) parents))
     end
   in
   up 0 parents
@@ -106,6 +107,5 @@ let apply t writes =
   t.levels.(Array.length t.levels - 1).(0)
 
 let root_hash t = t.levels.(Array.length t.levels - 1).(0)
-let num_buckets t = Array.length t.buckets
 let hashed_bytes t = t.hashed_bytes
 let key_count t = t.key_count

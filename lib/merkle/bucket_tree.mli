@@ -10,7 +10,7 @@
 
 type t
 
-val create : ?fanout:int -> num_buckets:int -> unit -> t
+val create : num_buckets:int -> unit -> t
 val get : t -> string -> string option
 
 val apply : t -> (string * string option) list -> string
@@ -18,7 +18,6 @@ val apply : t -> (string * string option) list -> string
     hash after recomputing dirty buckets and their paths. *)
 
 val root_hash : t -> string
-val num_buckets : t -> int
 val hashed_bytes : t -> int
 (** Cumulative bytes fed to the hash function — the write-amplification
     metric plotted in the Figure 11 reproduction. *)

@@ -24,5 +24,3 @@ let decode s =
   in
   Codec.expect_end r;
   t
-
-let byte_size t = String.length (encode t)

@@ -9,4 +9,3 @@ type t = entry list
 
 val encode : t -> string
 val decode : string -> t
-val byte_size : t -> int

@@ -80,4 +80,3 @@ let diff_versions t v1 v2 =
 
 let storage_bytes t = t.record_bytes + (8 * t.vector_slots)
 let record_count t = Hashtbl.length t.records
-let version_count t = Hashtbl.length t.versions

@@ -33,4 +33,3 @@ val storage_bytes : t -> int
 (** Record storage plus rid vectors. *)
 
 val record_count : t -> int
-val version_count : t -> int

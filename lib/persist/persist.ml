@@ -72,7 +72,6 @@ let journal_file dir = Filename.concat dir "branches.journal"
 let tmp_suffix = ".tmp"
 
 let db t = t.db
-let dir t = t.dir
 
 let sync t =
   Log_store.sync t.log;
@@ -119,7 +118,7 @@ let replay_records db records =
 
 let replay db entries = List.iter (fun (_, records) -> replay_records db records) entries
 
-let open_db ?cfg ?acl ?(sync_every = 512) ?(journal_sync_every = 1) ?wrap_store
+let open_db ?cfg ?(sync_every = 512) ?(journal_sync_every = 1) ?wrap_store
     ?recovery_check dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   (* Leftovers from a compaction or checkpoint that crashed before its
@@ -138,7 +137,7 @@ let open_db ?cfg ?acl ?(sync_every = 512) ?(journal_sync_every = 1) ?wrap_store
   (* Fault-injection / instrumentation wrappers go outside the redirectable
      store so compaction can still swap the backing log underneath them. *)
   let store = match wrap_store with None -> store | Some w -> w store in
-  let db = Db.create ?cfg ?acl store in
+  let db = Db.create ?cfg store in
   let journal, entries =
     try Journal.open_ (journal_file dir)
     with Fbutil.Codec.Corrupt reason ->

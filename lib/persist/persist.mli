@@ -25,14 +25,12 @@ type corruption =
 
 exception Corrupt_db of corruption
 
-val pp_corruption : Format.formatter -> corruption -> unit
 val corruption_to_string : corruption -> string
 
 type t
 
 val open_db :
   ?cfg:Fbtree.Tree_config.t ->
-  ?acl:(key:string -> branch:string option -> Forkbase.Db.access -> bool) ->
   ?sync_every:int ->
   ?journal_sync_every:int ->
   ?wrap_store:(Fbchunk.Chunk_store.t -> Fbchunk.Chunk_store.t) ->
@@ -66,8 +64,6 @@ val open_db :
 val db : t -> Forkbase.Db.t
 (** The connector backed by this durable store.  Use it exactly like an
     in-memory db; every branch mutation is journaled transparently. *)
-
-val dir : t -> string
 
 val sync : t -> unit
 (** Force chunk log then journal to disk (fsync). *)

@@ -4,13 +4,11 @@ type value = Str of string | VList of string array ref * int ref
 
 type t = {
   table : (string, value) Hashtbl.t;
-  compress : bool;
   mutable memory : int;
   mutable reads : int;
 }
 
-let create ?(compress_persistence = true) () =
-  { table = Hashtbl.create 256; compress = compress_persistence; memory = 0; reads = 0 }
+let create () = { table = Hashtbl.create 256; memory = 0; reads = 0 }
 
 let account t s = t.memory <- t.memory + String.length s
 let unaccount t s = t.memory <- t.memory - String.length s
@@ -90,18 +88,16 @@ let memory_bytes t = t.memory
 (* Persistence compresses values off the write path (like an RDB dump), so
    it is computed on demand rather than charged to every write. *)
 let persisted_bytes t =
-  if not t.compress then t.memory
-  else
-    Hashtbl.fold
-      (fun _ v acc ->
-        match v with
-        | Str s -> acc + Lzss.compressed_size s
-        | VList (arr, len) ->
-            let sum = ref acc in
-            for i = 0 to !len - 1 do
-              sum := !sum + Lzss.compressed_size !arr.(i)
-            done;
-            !sum)
-      t.table 0
+  Hashtbl.fold
+    (fun _ v acc ->
+      match v with
+      | Str s -> acc + Lzss.compressed_size s
+      | VList (arr, len) ->
+          let sum = ref acc in
+          for i = 0 to !len - 1 do
+            sum := !sum + Lzss.compressed_size !arr.(i)
+          done;
+          !sum)
+    t.table 0
 
 let read_bytes t = t.reads

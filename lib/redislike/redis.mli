@@ -5,7 +5,7 @@
 
 type t
 
-val create : ?compress_persistence:bool -> unit -> t
+val create : unit -> t
 
 (** {1 String type} *)
 
@@ -29,8 +29,7 @@ val memory_bytes : t -> int
 (** Raw bytes resident in memory. *)
 
 val persisted_bytes : t -> int
-(** Bytes after per-value compression (0 compression cost when the store
-    was created with [compress_persistence:false]). *)
+(** Bytes after per-value compression. *)
 
 val read_bytes : t -> int
 (** Total payload bytes returned to clients (models network transfer). *)

@@ -30,9 +30,8 @@ let resolve host =
 
 (* Transient refusals happen routinely when a client races server startup;
    retry with bounded exponential backoff (capped both in attempts and in
-   per-wait duration) before giving up. *)
-let connect ?(host = "127.0.0.1") ?(retries = 0) ?(backoff = 0.02)
-    ?(max_backoff = 1.0) ~port () =
+   per-wait duration, 1 s) before giving up. *)
+let connect ?(host = "127.0.0.1") ?(retries = 0) ~port () =
   Wire.ignore_sigpipe ();
   let addr = resolve host in
   let rec attempt left delay =
@@ -42,12 +41,12 @@ let connect ?(host = "127.0.0.1") ?(retries = 0) ?(backoff = 0.02)
     | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) when left > 0 ->
         Unix.close fd;
         Unix.sleepf delay;
-        attempt (left - 1) (Float.min max_backoff (2. *. delay))
+        attempt (left - 1) (Float.min 1.0 (2. *. delay))
     | exception e ->
         Unix.close fd;
         raise e
   in
-  attempt retries backoff
+  attempt retries 0.02
 
 let of_call call = Direct call
 let local db = Direct (Server.handle db)

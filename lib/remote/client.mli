@@ -39,14 +39,11 @@ exception Protocol_error of string
     bad frame the socket may be stopped mid-frame: close the handle and
     reconnect rather than reuse it. *)
 
-val connect :
-  ?host:string ->
-  ?retries:int -> ?backoff:float -> ?max_backoff:float -> port:int -> unit -> t
+val connect : ?host:string -> ?retries:int -> port:int -> unit -> t
 (** Connect to a {!Server} at [host] (default 127.0.0.1; a dotted quad or
     a resolvable name).  A transient [ECONNREFUSED] (typically a race
     against server startup) is retried up to [retries] times (default 0),
-    sleeping [backoff] seconds (default 0.02) doubled after every attempt
-    and capped at [max_backoff] (default 1.0). *)
+    sleeping 0.02 s doubled after every attempt and capped at 1 s. *)
 
 val local : Forkbase.Db.t -> t
 (** An embedded store behind the same verbs: each request runs

@@ -42,13 +42,6 @@ let kill t =
 
 let reap t = do_wait t
 
-let alive t =
-  (not t.reaped)
-  &&
-  match Unix.kill t.pid 0 with
-  | () -> true
-  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-
 let rec rm_rf path =
   match Unix.lstat path with
   | { Unix.st_kind = Unix.S_DIR; _ } ->

@@ -43,9 +43,6 @@ val reap : t -> unit
 (** Wait for a child that is expected to exit on its own (e.g. after a
     [Quit] request) without signalling it; idempotent. *)
 
-val alive : t -> bool
-(** The child has not yet been reaped and still exists. *)
-
 (** {1 Scratch directories} *)
 
 val rm_rf : string -> unit

@@ -40,12 +40,12 @@ let put_value db ~key ~branch = function
   | Wire.Set ms -> Db.set db ms
 
 let resolver_of_string = function
-  | "" | "manual" -> Ok Forkbase.Merge.Manual
-  | "left" -> Ok Forkbase.Merge.Choose_left
-  | "right" -> Ok Forkbase.Merge.Choose_right
-  | "append" -> Ok Forkbase.Merge.Append
-  | "aggregate" -> Ok Forkbase.Merge.Aggregate
-  | r -> Error (Printf.sprintf "unknown resolver %S" r)
+  | "" | "manual" -> Forkbase.Merge.Manual
+  | "left" -> Forkbase.Merge.Choose_left
+  | "right" -> Forkbase.Merge.Choose_right
+  | "append" -> Forkbase.Merge.Append
+  | "aggregate" -> Forkbase.Merge.Aggregate
+  | r -> invalid_arg (Printf.sprintf "unknown resolver %S" r)
 
 let of_db_result to_resp = function
   | Ok v -> to_resp v
@@ -122,7 +122,7 @@ let max_fetch_bytes = 1 lsl 20
    source (Pull_journal).  [redirect] puts the server in follower mode:
    write requests are answered with the primary's address instead of
    executing. *)
-let handle ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
+let execute ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
     Wire.response =
   let write k =
     match redirect with
@@ -163,15 +163,13 @@ let handle ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
       owned key @@ fun () ->
       write @@ fun () ->
       of_db_result (fun () -> Wire.Ok_unit) (Db.fork db ~key ~from_branch ~new_branch)
-  | Wire.Merge { key; target; ref_branch; resolver } -> (
+  | Wire.Merge { key; target; ref_branch; resolver } ->
       owned key @@ fun () ->
       write @@ fun () ->
-      match resolver_of_string resolver with
-      | Error msg -> Wire.Error msg
-      | Ok resolver ->
-          of_db_result
-            (fun uid -> Wire.Uid uid)
-            (Db.merge ~resolver db ~key ~target ~ref_:(`Branch ref_branch)))
+      let resolver = resolver_of_string resolver in
+      of_db_result
+        (fun uid -> Wire.Uid uid)
+        (Db.merge ~resolver db ~key ~target ~ref_:(`Branch ref_branch))
   | Wire.Track { key; branch; lo; hi } ->
       owned key @@ fun () ->
       of_db_result
@@ -256,22 +254,28 @@ let handle ?checkpoint ?journal ?redirect ?shard db (req : Wire.request) :
           (Printf.sprintf "push_chunks: at most %d chunks per request"
              max_fetch_chunks)
       else begin
+        (* a chunk that does not decode is answered by [handle]'s catch *)
         let store = Db.store db in
-        match
-          List.iter
-            (fun enc ->
-              ignore (store.Fbchunk.Chunk_store.put (Fbchunk.Chunk.decode enc)))
-            chunks
-        with
-        | () -> Wire.Ok_unit
-        | exception Fbutil.Codec.Corrupt msg ->
-            Wire.Error ("push_chunks: " ^ msg)
+        List.iter
+          (fun enc ->
+            ignore (store.Fbchunk.Chunk_store.put (Fbchunk.Chunk.decode enc)))
+          chunks;
+        Wire.Ok_unit
       end
   | Wire.Restore_branch { key; branch; uid } ->
       write @@ fun () ->
       of_db_result (fun () -> Wire.Ok_unit) (Db.restore_branch db ~key ~branch uid)
   | Wire.Export_key { key } -> Wire.Branches (Db.list_tagged_branches db ~key)
   | Wire.Quit -> Wire.Ok_unit
+
+(* Whatever a request makes the store raise (a reversed track range, a
+   cid naming no meta chunk, ...) is answered as [Error]: one failure
+   path, whether the caller is the event loop or {!Client.local}. *)
+let handle ?checkpoint ?journal ?redirect ?shard db req =
+  match execute ?checkpoint ?journal ?redirect ?shard db req with
+  | resp -> resp
+  | exception Invalid_argument msg -> Wire.Error msg
+  | exception e -> Wire.Error (Printexc.to_string e)
 
 (* --- the event loop --- *)
 
@@ -304,7 +308,6 @@ type config = {
   max_conns : int;
   idle_timeout : float;  (* seconds; <= 0. disables the reaper *)
   max_frame_bytes : int;
-  drain_timeout : float;  (* grace for flushing responses at shutdown *)
 }
 
 let default_config =
@@ -312,8 +315,10 @@ let default_config =
     max_conns = 64;
     idle_timeout = 0.;
     max_frame_bytes = Wire.default_max_frame_bytes;
-    drain_timeout = 5.;
   }
+
+(* Seconds a graceful shutdown waits for in-flight responses to flush. *)
+let drain_timeout = 5.
 
 (* What a finished connection should be counted as. *)
 type close_reason = Ok_close | Err_close | Timeout_close
@@ -353,9 +358,11 @@ let durable_write = function
       true
   | _ -> false
 
+(* Seconds between [?tick] runs. *)
+let tick_every = 0.05
+
 let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
-    ?(tick_every = 0.05) ?(now = Clock.monotonic) ?(config = default_config)
-    db listen_fd =
+    ?(now = Clock.monotonic) ?(config = default_config) db listen_fd =
   Wire.ignore_sigpipe ();
   Unix.set_nonblock listen_fd;
   (* Periodic work multiplexed into the event loop (a follower's
@@ -438,7 +445,7 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
   let begin_shutdown () =
     if not !shutting_down then begin
       shutting_down := true;
-      shutdown_deadline := now () +. config.drain_timeout;
+      shutdown_deadline := now () +. drain_timeout;
       (* stop taking input everywhere; in-flight responses still flush *)
       Hashtbl.iter (fun _ c -> if not c.draining then drain c Ok_close) conns
     end
@@ -481,10 +488,8 @@ let serve ?checkpoint ?journal ?redirect ?shard ?group_commit ?tick
                         && Option.is_none redirect && durable_write req
                    in
                    ( held,
-                     try
-                       with_counters
-                         (handle ?checkpoint ?journal ?redirect ?shard db req)
-                     with e -> Wire.Error (Printexc.to_string e) )
+                     with_counters
+                       (handle ?checkpoint ?journal ?redirect ?shard db req) )
              in
              park_or_respond c ~held response
        done

@@ -9,8 +9,8 @@
     mid-request, sends garbage, or announces an oversized frame loses
     {e its} connection (recorded in the {!counters}) while every other
     client keeps being served.  A {!Wire.Quit} request triggers a graceful
-    shutdown: accepting stops and in-flight responses are drained before
-    sockets close. *)
+    shutdown: accepting stops and in-flight responses are drained (for
+    up to 5 s) before sockets close. *)
 
 val listen : port:int -> unit -> Unix.file_descr
 (** Bind and listen on 127.0.0.1:[port] with a backlog of 64, so a burst
@@ -51,9 +51,6 @@ type config = {
       (** request frames announcing more than this are rejected without
           allocating the announced size
           (default {!Wire.default_max_frame_bytes}) *)
-  drain_timeout : float;
-      (** grace period for flushing in-flight responses during graceful
-          shutdown (default 5s) *)
 }
 
 val default_config : config
@@ -74,13 +71,6 @@ val max_fetch_chunks : int
 (** Upper bound on cids per [Fetch_chunks] request — and on chunks per
     [Push_chunks] request — ({!Forkbase.Closure.max_batch}, 512); larger
     requests are answered with an [Error]. *)
-
-val max_fetch_bytes : int
-(** Byte budget of a [Fetch_chunks] answer (1 MiB): the server stops
-    adding chunks once the encoded chunks pass it, but always returns at
-    least one held chunk, so an answer stays under
-    {!Wire.default_max_frame_bytes} whatever the chunk sizes.  The
-    requester re-asks for the cids left out. *)
 
 type shard_role
 (** Makes a server one shard of a partitioned cluster: key-addressed
@@ -112,7 +102,6 @@ val serve :
   ?shard:shard_role ->
   ?group_commit:(unit -> unit) ->
   ?tick:(unit -> unit) ->
-  ?tick_every:float ->
   ?now:(unit -> float) ->
   ?config:config ->
   Forkbase.Db.t ->
@@ -149,11 +138,10 @@ val serve :
     monotone non-decreasing; the default is immune to wall-clock (NTP)
     steps.  Injectable for deterministic timeout tests.
 
-    [tick] is invoked between event rounds, at most every [tick_every]
-    seconds (default 0.05) — the hook a follower's replication sync runs
-    in, so journal application is serialized with request handling; a
-    raising tick is swallowed (the serving side must survive a vanished
-    primary). *)
+    [tick] is invoked between event rounds, at most every 0.05 s — the
+    hook a follower's replication sync runs in, so journal application is
+    serialized with request handling; a raising tick is swallowed (the
+    serving side must survive a vanished primary). *)
 
 val handle :
   ?checkpoint:(unit -> int * int) ->
@@ -165,11 +153,8 @@ val handle :
   Wire.response
 (** The request dispatcher: one request against [db], exactly as
     {!serve} answers it.  {!Client.local} is this, as an access
-    handle. *)
-
-val stats_of_db : Forkbase.Db.t -> Wire.stats
-(** Db-level stats with all connection counters zero; {!serve} fills them
-    in when answering over the wire. *)
+    handle.  Never raises: an exception the request provokes is answered
+    as [Error], so both transports fail a bad request alike. *)
 
 val to_wire_value : Fbtypes.Value.t -> Wire.value
 (** The materialization a [Get] response performs (blobs and containers

@@ -182,7 +182,6 @@ let sync_until_caught_up ?(max_rounds = 1000) t =
   go max_rounds
 
 let seq t = Persist.journal_seq t.persist
-let primary_seq t = t.primary_seq
 let lag t = max 0 (t.primary_seq - seq t)
 
 type counters = { pulls : int; entries_applied : int; chunks_fetched : int }
@@ -195,7 +194,6 @@ let counters (t : t) =
   }
 
 let db t = Persist.db t.persist
-let persist t = t.persist
 
 let close t =
   drop_conn t;

@@ -88,10 +88,6 @@ val sync_until_caught_up : ?max_rounds:int -> t -> unit
 val seq : t -> int
 (** Sequence of the last entry applied (and journaled) locally. *)
 
-val primary_seq : t -> int
-(** The primary's journal sequence as of the last successful pull; [0]
-    before the first pull. *)
-
 val lag : t -> int
 (** [primary_seq - seq], clamped at 0 — entries known to exist on the
     primary but not yet applied here. *)
@@ -107,10 +103,6 @@ val counters : t -> counters
 val db : t -> Forkbase.Db.t
 (** The follower's connector — serve reads from it.  Writing through it
     would fork local history; {!serve} redirects writes instead. *)
-
-val persist : t -> Fbpersist.Persist.t
-(** The underlying durable store (for fsck, stats — and promotion: after
-    {!close}, reopen the directory and serve it as a primary). *)
 
 val close : t -> unit
 (** Drop the primary connection and close the durable store. *)

@@ -15,10 +15,14 @@ type t = {
   mutable map : Shard_map.t;
   conns : (int, Client.t) Hashtbl.t;
   seeds : (string * int) list;
-  conn_retries : int;
-  route_retries : int;
-  backoff : float;
 }
+
+(* Retry budgets: [ECONNREFUSED] retries per connection, and attempts of
+   the routing loop per operation, whose first sleep is [backoff] seconds
+   (doubled, capped at 200 ms). *)
+let conn_retries = 20
+let route_retries = 400
+let backoff = 0.005
 
 let map t = t.map
 
@@ -34,7 +38,7 @@ let conn t i =
   | Some c -> c
   | None ->
       let host, port = Shard_map.addr t.map i in
-      let c = Client.connect ~host ~port ~retries:t.conn_retries () in
+      let c = Client.connect ~host ~port ~retries:conn_retries () in
       Hashtbl.replace t.conns i c;
       c
 
@@ -92,16 +96,12 @@ let refresh_map t =
   in
   List.iter (probe_map t) addrs
 
-let connect ?(conn_retries = 20) ?(route_retries = 400) ?(backoff = 0.005)
-    ~host ~port () =
+let connect ~host ~port () =
   let t =
     {
       map = { Shard_map.version = 0; shards = [||]; pending = [] };
       conns = Hashtbl.create 8;
       seeds = [ (host, port) ];
-      conn_retries;
-      route_retries;
-      backoff;
     }
   in
   let c =
@@ -129,15 +129,8 @@ let connect ?(conn_retries = 20) ?(route_retries = 400) ?(backoff = 0.005)
   refresh_map t;
   t
 
-let of_map ?(conn_retries = 20) ?(route_retries = 400) ?(backoff = 0.005) map =
-  {
-    map;
-    conns = Hashtbl.create 8;
-    seeds = Array.to_list map.Shard_map.shards;
-    conn_retries;
-    route_retries;
-    backoff;
-  }
+let of_map map =
+  { map; conns = Hashtbl.create 8; seeds = Array.to_list map.Shard_map.shards }
 
 let close t =
   Hashtbl.iter
@@ -178,7 +171,7 @@ let with_route t ~key req =
           drop_conn t owner;
           raise e
   in
-  attempt t.route_retries t.backoff
+  attempt route_retries backoff
 
 (* Whole-cluster key listing: ask every shard.  [List_keys] is not
    ownership-gated, so each shard reports what it stores. *)
@@ -264,7 +257,7 @@ let install_map t m =
       let c =
         if reuse then conn t i
         else
-          match Client.connect ~host ~port ~retries:t.conn_retries () with
+          match Client.connect ~host ~port ~retries:conn_retries () with
           | c -> c
           | exception e ->
               raise

@@ -37,28 +37,15 @@ exception Rebalance_failed of string
     fixing the cause is safe — chunk pushes and head restores are
     idempotent. *)
 
-val connect :
-  ?conn_retries:int ->
-  ?route_retries:int ->
-  ?backoff:float ->
-  host:string ->
-  port:int ->
-  unit ->
-  t
+val connect : host:string -> port:int -> unit -> t
 (** Bootstrap from any one shard: fetch its map, then talk to the whole
-    cluster.  [conn_retries] (default 20) bounds per-connection
-    [ECONNREFUSED] retries, [route_retries] (default 400) bounds the
-    per-operation routing loop, [backoff] (default 5ms) is the initial
-    retry sleep (doubled, capped at 200ms).  Raises {!Unroutable} when
-    the seed shard cannot be reached at all (retries exhausted or
-    unknown host). *)
+    cluster.  Each connection retries [ECONNREFUSED] 20 times, and each
+    operation's routing loop makes up to 400 attempts, sleeping 5 ms
+    before the first retry (doubled, capped at 200 ms).  Raises
+    {!Unroutable} when the seed shard cannot be reached at all (retries
+    exhausted or unknown host). *)
 
-val of_map :
-  ?conn_retries:int ->
-  ?route_retries:int ->
-  ?backoff:float ->
-  Shard_map.t ->
-  t
+val of_map : Shard_map.t -> t
 (** A dispatcher over an already-known map (e.g. fresh from
     {!Shard.spawn_cluster}) without the bootstrap round trip. *)
 

@@ -31,11 +31,11 @@ let spawn ?port ~dir ~self ~map () =
   Procs.spawn ?port (fun listen_fd ->
       ignore (serve ~dir ~self ~map listen_fd : Server.counters))
 
-let spawn_cluster ?(host = "127.0.0.1") ~dirs () =
+let spawn_cluster ~dirs () =
   let listeners = List.map (fun _ -> Procs.listener ()) dirs in
   let map =
     Shard_map.create ~version:1
-      (List.map (fun (_, port) -> (host, port)) listeners)
+      (List.map (fun (_, port) -> ("127.0.0.1", port)) listeners)
   in
   let procs =
     List.mapi

@@ -32,13 +32,9 @@ val spawn :
     {!Fbremote.Procs.kill}. *)
 
 val spawn_cluster :
-  ?host:string ->
-  dirs:string list ->
-  unit ->
-  Fbremote.Procs.t list * Shard_map.t
+  dirs:string list -> unit -> Fbremote.Procs.t list * Shard_map.t
 (** Spawn one shard per store directory: all listeners are bound first
     (ephemeral ports), the version-1 partition map is built from the
     assigned ports, and only then does each child fork with the complete
     map — no bootstrap window in which a shard serves without knowing
-    its peers.  [host] (default ["127.0.0.1"]) is the address written
-    into the map. *)
+    its peers.  The map names every shard at 127.0.0.1. *)

@@ -39,13 +39,8 @@ val parse_addrs : string -> (string * int) list
 (** Parse ["HOST:PORT,HOST:PORT,..."] (the CLI's [--map] syntax).
     @raise Bad_map on malformed input. *)
 
-val addr_to_string : string * int -> string
-
 val to_string : t -> string
 (** Human-readable one-liner for status output. *)
-
-val file_name : string
-(** ["shard.map"], the per-shard on-disk copy inside the store dir. *)
 
 val save : dir:string -> t -> unit
 (** Atomically and durably write the map into [dir]: tmp file, fsync,

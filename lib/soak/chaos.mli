@@ -39,7 +39,6 @@ val kind_name : event -> string
 
 val all_kind_names : string list
 
-val event_to_string : event -> string
 val scheduled_to_string : scheduled -> string
 
 val schedule : seed:int64 -> total_ops:int -> events:int -> scheduled list

@@ -27,8 +27,6 @@ type config = {
   value_bytes : int;
   deadline : float option;
   sabotage_at : int option;
-  scratch : string option;
-  keep_scratch : bool;
   log : string -> unit;
 }
 
@@ -48,8 +46,6 @@ let short_config ?(seed = 0x50AC_2026L) ?(ops = 400) ?(log = ignore) () =
     value_bytes = 40;
     deadline = None;
     sabotage_at = None;
-    scratch = None;
-    keep_scratch = false;
     log;
   }
 
@@ -122,20 +118,14 @@ let () =
 (* the driver: state, failure path and checks shared by every topology *)
 
 let fresh_scratch cfg =
-  match cfg.scratch with
-  | Some d ->
-      (try Unix.mkdir d 0o755
-       with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      d
-  | None ->
-      let d =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "forkbase-soak-%d-%Lx" (Unix.getpid ()) cfg.seed)
-      in
-      Procs.rm_rf d;
-      Unix.mkdir d 0o755;
-      d
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "forkbase-soak-%d-%Lx" (Unix.getpid ()) cfg.seed)
+  in
+  Procs.rm_rf d;
+  Unix.mkdir d 0o755;
+  d
 
 type driver = {
   cfg : config;
@@ -242,7 +232,7 @@ let drive d topo =
   Fun.protect
     ~finally:(fun () ->
       topo.teardown ();
-      if (not !failed) && not cfg.keep_scratch then Procs.rm_rf d.scratch)
+      if not !failed then Procs.rm_rf d.scratch)
   @@ fun () ->
   let result =
     try

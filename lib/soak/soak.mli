@@ -53,8 +53,6 @@ type config = {
       (** test hook: at this operation, corrupt a follower's chunk log
           behind the harness's back — the next fsck {e must} fail,
           proving a real invariant violation produces a failure report *)
-  scratch : string option;  (** store directories root; [None] = temp *)
-  keep_scratch : bool;  (** keep stores on success (always kept on failure) *)
   log : string -> unit;  (** progress lines; [ignore] for silence *)
 }
 

@@ -56,7 +56,6 @@ let of_value db = function
   | _ -> None
 
 let load db ~name = of_value db (Db.get db ~key:name)
-let load_version db uid = of_value db (Db.get_version db uid)
 
 let update_at db ~name updates =
   match load db ~name with

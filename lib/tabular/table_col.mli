@@ -9,7 +9,6 @@ val import :
   Forkbase.Db.t -> name:string -> Workload.Dataset.record array -> Fbchunk.Cid.t
 
 val load : Forkbase.Db.t -> name:string -> t option
-val load_version : Forkbase.Db.t -> Fbchunk.Cid.t -> t option
 
 val update_at :
   Forkbase.Db.t ->

@@ -29,7 +29,6 @@ let splice = T.splice
 let splice_many = T.splice_many
 let set t i v = T.splice t ~pos:i ~del:1 ~ins:[ v ]
 let push_back t v = T.append t [ v ]
-let append = T.append
 let insert t ~pos ins = T.splice t ~pos ~del:0 ~ins
 let remove t ~pos ~len = T.splice t ~pos ~del:len ~ins:[]
 let diff_region = T.diff_region

@@ -25,7 +25,6 @@ val fold : ('a -> string -> 'a) -> 'a -> t -> 'a
 
 val set : t -> int -> string -> t
 val push_back : t -> string -> t
-val append : t -> string list -> t
 val insert : t -> pos:int -> string list -> t
 val remove : t -> pos:int -> len:int -> t
 val splice : t -> pos:int -> del:int -> ins:string list -> t

@@ -38,7 +38,6 @@ let bindings = T.to_list
 let to_seq = T.to_seq
 let to_seq_from = T.seq_from_key
 let fold f init t = Seq.fold_left (fun acc (k, v) -> f acc k v) init (to_seq t)
-let iter f t = Seq.iter (fun (k, v) -> f k v) (to_seq t)
 
 let diff a b =
   List.map

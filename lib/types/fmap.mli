@@ -31,7 +31,6 @@ val to_seq_from : t -> string -> (string * string) Seq.t
 (** Bindings with keys >= the given key, in order — a range-scan cursor. *)
 
 val fold : ('a -> string -> string -> 'a) -> 'a -> t -> 'a
-val iter : (string -> string -> unit) -> t -> unit
 
 val diff :
   t ->

@@ -21,7 +21,6 @@ let cardinal = T.length
 let equal = T.equal
 let mem t m = T.find t m <> None
 let add t m = T.set_sorted t m
-let add_many t ms = T.set_sorted_many t ms
 let remove t m = T.remove_sorted t m
 let elements = T.to_list
 let to_seq = T.to_seq
@@ -35,6 +34,5 @@ let diff a b =
       | `Changed _ -> None (* impossible: members have no payload *))
     (T.diff_sorted a b)
 
-let chunk_count = T.chunk_count
 let iter_chunks = T.iter_cids
 let verify = T.verify

@@ -10,7 +10,6 @@ val cardinal : t -> int
 val equal : t -> t -> bool
 val mem : t -> string -> bool
 val add : t -> string -> t
-val add_many : t -> string list -> t
 val remove : t -> string -> t
 val elements : t -> string list
 val to_seq : t -> string Seq.t
@@ -21,6 +20,5 @@ val to_seq_from : t -> string -> string Seq.t
 val diff : t -> t -> [ `Left of string | `Right of string ] list
 (** Elements only in the first / only in the second set. *)
 
-val chunk_count : t -> int
 val iter_chunks : t -> (Fbchunk.Cid.t -> unit) -> unit
 val verify : t -> bool

@@ -22,5 +22,3 @@ let sample t rng =
     if t.cumulative.(mid) < u then lo := mid + 1 else hi := mid
   done;
   !lo
-
-let n t = t.n

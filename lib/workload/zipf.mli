@@ -8,4 +8,3 @@ type t
 
 val create : n:int -> theta:float -> t
 val sample : t -> Fbutil.Splitmix.t -> int
-val n : t -> int

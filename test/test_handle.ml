@@ -53,6 +53,38 @@ let test_same_workload_three_transports () =
         (keys run))
     [ ("one server", remote); ("2 shards", sharded) ]
 
+(* One failure path for both transports: a request that makes the
+   dispatcher raise — a track range with lo > hi, a version read of a cid
+   naming a blob leaf rather than a meta chunk — is [Remote_failure]
+   whether [Server.handle] runs in-process or behind a socket. *)
+let test_bad_requests_fail_alike () =
+  let page = String.make 100 'p' in
+  let leaf =
+    Fbtypes.Fblob.root
+      (Fbtypes.Fblob.create
+         (Fbchunk.Chunk_store.mem_store ())
+         Fbtree.Tree_config.default page)
+  in
+  let check name c =
+    ignore (Client.put c ~key:"page" (Wire.Blob page) : Fbchunk.Cid.t);
+    let fails what f =
+      match f () with
+      | () -> Alcotest.failf "%s: %s was answered" name what
+      | exception Client.Remote_failure _ -> ()
+    in
+    fails "track lo > hi" (fun () ->
+        ignore (Client.track c ~key:"page" ~lo:5 ~hi:1 : (int * _) list));
+    fails "get_version of a blob leaf" (fun () ->
+        ignore (Client.get_version c leaf : Wire.value))
+  in
+  check "local"
+    (Client.local (Forkbase.Db.create (Fbchunk.Chunk_store.mem_store ())));
+  Testnet.with_mem_server (fun port ->
+      let c = Client.connect ~retries:50 ~port () in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () -> check "socket" c))
+
 let test_dispatcher_handle () =
   with_cluster @@ fun procs d ->
   let c = Dispatch.client d in
@@ -202,6 +234,8 @@ let () =
             test_same_workload_three_transports;
           Alcotest.test_case "dispatcher: key union, unroutable refused" `Quick
             test_dispatcher_handle;
+          Alcotest.test_case "bad requests fail alike: local and socket" `Quick
+            test_bad_requests_fail_alike;
         ] );
       ( "blob put",
         [

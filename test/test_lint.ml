@@ -14,7 +14,8 @@ module Report = Fblint.Report
 let ids findings =
   List.map (fun (f : Finding.t) -> Finding.rule_id f.Finding.rule) findings
 
-let lint ?(file = "lib/fixture.ml") source = Lint.lint_source ~file source
+let lint ?(file = "lib/fixture.ml") source =
+  Lint.lint_sources [ (file, source) ]
 
 let check_ids name expected findings =
   Alcotest.(check (list string)) name expected (ids findings)
@@ -148,8 +149,8 @@ let test_callgraph () =
         [ "Server.handle"; "Server.helper" ]
         h.Callgraph.h_chain
   | hs -> Alcotest.failf "expected one hit through the cycle, got %d" (List.length hs));
-  (* functor bodies are recorded and marked; applying one resolves to
-     nothing (conservative), and flatten_safe never raises on Lapply *)
+  (* functor bodies are recorded; applying one resolves to nothing
+     (conservative), and flatten_safe never raises on Lapply *)
   let functored =
     parse "lib/x.ml"
       "module Make (X : sig val go : unit -> unit end) = struct\n\
@@ -163,13 +164,8 @@ let test_callgraph () =
       (fun d -> String.equal (Callgraph.def_path d) path)
       (Callgraph.defs_in graph ~scope:"lib/x.ml")
   in
-  (match (find "Make.run", find "top") with
-  | Some run, Some top ->
-      Alcotest.(check bool) "functor body marked" true
-        (Callgraph.def_in_functor run);
-      Alcotest.(check bool) "top level unmarked" false
-        (Callgraph.def_in_functor top)
-  | _ -> Alcotest.fail "expected defs Make.run and top");
+  Alcotest.(check bool) "functor body and top level recorded" true
+    (Option.is_some (find "Make.run") && Option.is_some (find "top"));
   Alcotest.(check (list string))
     "Lapply flattens totally"
     [ "(functor-application)"; "run" ]
@@ -346,6 +342,78 @@ let test_fd_discipline () =
        \  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in\n\
        \  Unix.lseek fd 0 Unix.SEEK_END")
 
+(* --- dead-export --- *)
+
+let blob_mli =
+  "val used : int -> int\n\
+   val spare : int -> int\n\
+   module Sub : sig val nested : int end\n\
+   module Make (X : sig end) : sig val made : int end\n\
+   include sig val included : int end"
+
+let blob_ml =
+  "let used x = x\n\
+   let spare x = used x\n\
+   module Sub = struct let nested = 0 end\n\
+   module Make (X : sig end) = struct let made = 0 end\n\
+   let included = 0"
+
+(* [Blob.used] has a bin/ user in every fixture; [users] say where (and
+   how) [Blob.spare] is referenced, if anywhere.  The rule judges only a
+   set spanning every source root, so each gets an empty unit. *)
+let dead_exports ?(mli = blob_mli) ?(ml = blob_ml) users =
+  Lint.lint_sources
+    (List.map (fun root -> (root ^ "/pad.ml", "")) Finding.source_roots
+    @ [
+        ("lib/store/blob.mli", mli);
+        ("lib/store/blob.ml", ml);
+        ("bin/main.ml", "let () = ignore (Blob.used 1)");
+      ]
+    @ users)
+
+let test_dead_export () =
+  Alcotest.(check (list (triple string string int)))
+    "fires on the unreferenced val, at its .mli line"
+    [ ("dead-export", "lib/store/blob.mli", 2) ]
+    (List.map
+       (fun (f : Finding.t) -> (Finding.rule_id f.rule, f.scope, f.line))
+       (dead_exports []));
+  (* nested signatures, functor results and includes are never judged:
+     the one finding above is [spare], not [nested]/[made]/[included] *)
+  List.iter
+    (fun (name, user) -> check_ids name [] (dead_exports [ user ]))
+    [
+      ("module alias", ("bin/cli.ml", "module B = Blob\nlet f = B.spare"));
+      ( "local module alias",
+        ("bin/cli.ml", "let f () = let module B = Blob in B.spare 1") );
+      ("open", ("bin/cli.ml", "open Blob\nlet f = spare"));
+      ("local open", ("bin/cli.ml", "let f () = Blob.(spare 1)"));
+      ("wrapper prefix", ("bin/cli.ml", "let f = Fbstore.Blob.spare"));
+      ( "aliased wrapper",
+        ("bin/cli.ml", "module B = Fbstore.Blob\nlet f = B.spare") );
+      ("top-level effect", ("bin/cli.ml", "let () = ignore (Blob.spare 1)"));
+      ("bench user", ("bench/b.ml", "let f = Blob.spare"));
+      ("perfbench user", ("perfbench/p.ml", "let f = Blob.spare"));
+      ("examples user", ("examples/e.ml", "let f = Blob.spare"));
+      ("test-only user", ("test/test_blob.ml", "let f = Blob.spare"));
+      ( "module used whole",
+        ("bin/cli.ml", "module M = Set.Make (Blob)\nlet f = M.empty") );
+    ];
+  (* a reference from the module's own implementation is no user *)
+  check_ids "own-module use does not count" [ "dead-export" ]
+    (dead_exports ~ml:(blob_ml ^ "\nlet g = Blob.spare") []);
+  (* with a source root missing, users may be unseen: linting a subtree
+     never invents dead exports *)
+  check_ids "a subtree is not judged" []
+    (Lint.lint_sources
+       [ ("lib/store/blob.mli", blob_mli); ("lib/store/blob.ml", blob_ml) ]);
+  check_ids "suppression applies in an interface" []
+    (dead_exports
+       ~mli:
+         "val used : int -> int\n\
+          val spare : int -> int (* lint: allow dead-export *)"
+       [])
+
 (* --- suppressions --- *)
 
 let test_suppressions () =
@@ -439,17 +507,11 @@ let test_baseline_roundtrip () =
 
 (* --- the walker --- *)
 
-let temp_dir () =
-  let path = Filename.temp_file "lint_walk" "" in
-  Sys.remove path;
-  Unix.mkdir path 0o755;
-  path
-
 let write_file path text =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text)
 
 let test_walker () =
-  let root = temp_dir () in
+  Fbremote.Procs.with_temp_dir @@ fun root ->
   let lib = Filename.concat root "lib" in
   Unix.mkdir lib 0o755;
   Unix.mkdir (Filename.concat lib "sub") 0o755;
@@ -491,7 +553,7 @@ let test_live_tree_clean () =
   let baseline = Baseline.load (at_root "lint-baseline.txt") in
   let { Lint.fresh; tolerated } =
     Lint.run_report ~baseline
-      [ at_root "lib"; at_root "bin"; at_root "test/test_remote.ml" ]
+      (List.map at_root Finding.source_roots)
   in
   Alcotest.(check int) "the baseline is empty and stays empty" 0 tolerated;
   match fresh with
@@ -521,6 +583,7 @@ let () =
           Alcotest.test_case "wire-exhaustiveness" `Quick
             test_wire_exhaustiveness;
           Alcotest.test_case "fd-discipline" `Quick test_fd_discipline;
+          Alcotest.test_case "dead-export" `Quick test_dead_export;
         ] );
       ( "mechanism",
         [
